@@ -160,10 +160,10 @@ class FusionParams:
         return dataclasses.replace(self, **kwargs)
 
 
-#: Execution backends a subtractor can run on. ``"cpu"`` is the
-#: vectorized NumPy path, ``"sim"`` the simulated GPU, ``"jit"`` the
-#: numba-compiled per-pixel kernels (falls back to ``"cpu"`` with a
-#: warning when numba is not installed).
+#: Execution backends a subtractor can run on. ``"cpu"`` is the NumPy
+#: CPU engine (:mod:`repro.cpu.engine`), ``"sim"`` the simulated GPU,
+#: ``"jit"`` the numba-compiled per-pixel kernels (falls back to
+#: ``"cpu"`` with a warning when numba is not installed).
 BACKENDS = ("cpu", "sim", "jit")
 
 #: Background-model families the kernel stack can run. ``"mog"`` is

@@ -2,8 +2,10 @@
 
 Three backends:
 
-* ``backend="cpu"`` — the practical interpreted path: the vectorized
-  NumPy oracle of the selected model family, no simulation.
+* ``backend="cpu"`` — the practical interpreted path, no simulation:
+  the in-place, cache-blocked engine of the selected model family
+  (:mod:`repro.cpu.engine`) at MoG levels D-G and every DMSG level; the
+  sorted MoG levels A-C run the vectorized oracle.
   ``report()`` is not available.
 * ``backend="jit"`` — the compiled hot path: per-pixel kernels emitted
   from the level's :class:`~repro.kernels.ir.KernelSpec` and compiled
@@ -28,6 +30,7 @@ import warnings
 import numpy as np
 
 from ..config import BACKENDS, FusionParams, MoGParams, RunConfig
+from ..cpu.engine import ENGINE_VARIANTS, DmsgEngine, MoGEngine
 from ..errors import ConfigError, JitUnavailableError
 from ..gpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from ..gpusim.device import TESLA_C2075, DeviceSpec
@@ -73,7 +76,7 @@ class BackgroundSubtractor:
         set, else the level designator's prefix, else ``"mog"``. An
         explicit ``model`` must agree with the level's prefix.
     backend:
-        ``"cpu"`` (vectorized NumPy), ``"jit"`` (numba-compiled
+        ``"cpu"`` (NumPy CPU engine), ``"jit"`` (numba-compiled
         kernels, cpu fallback when numba is missing) or ``"sim"``
         (simulated GPU). ``None`` (default) takes
         ``run_config.backend`` when set, else ``"sim"``.
@@ -195,11 +198,13 @@ class BackgroundSubtractor:
                     self.active_backend = "cpu"
             if self._impl is None:
                 if self.model.name == "dmsg":
-                    from ..dmsg import DmsgVectorized
-
-                    self._impl = DmsgVectorized(
-                        self.shape, self.params,
-                        variant=self.spec.oracle_variant, dtype=dtype,
+                    self._impl = DmsgEngine(
+                        self.shape, self.params, dtype=dtype,
+                        integrity=integrity, telemetry=telemetry,
+                    )
+                elif self.spec.oracle_variant in ENGINE_VARIANTS:
+                    self._impl = MoGEngine(
+                        self.shape, self.params, dtype=dtype,
                         integrity=integrity, telemetry=telemetry,
                     )
                 else:
@@ -350,10 +355,11 @@ class BackgroundSubtractor:
     # -- checkpoint / restore ------------------------------------------
     def state_snapshot(self):
         """Uniform snapshot across backends: ``(w, m, sd, frames)`` or
-        ``None`` before the first frame. The CPU backend returns live
-        references (cheap); the JIT backend copies (its kernels mutate
-        state in place); the sim backend downloads a copy from the
-        simulated device."""
+        ``None`` before the first frame. The arrays never alias the
+        running model: the CPU engine and the JIT kernels mutate state
+        in place, so they copy; the sorted CPU levels' oracle rebinds
+        its arrays each frame, so its live references stay valid; the
+        sim backend downloads a copy from the simulated device."""
         if self._impl is not None:
             return self._impl.state_snapshot()
         return self._pipeline.state_snapshot()

@@ -20,8 +20,9 @@ target — at a quality cost the model × level × scenario matrix
 
 This package mirrors :mod:`repro.mog`'s role: it holds the vectorized
 NumPy oracle (:class:`DmsgVectorized`) the simulated-GPU and jit
-emitters are pinned bit-identical against, and the state initialiser
-shared by every execution path.
+emitters and the CPU engine (:class:`repro.cpu.engine.DmsgEngine`) are
+pinned bit-identical against, and the state initialiser shared by every
+execution path.
 """
 
 from .state import dmsg_state_from_first_frame

@@ -1,7 +1,9 @@
 """NumPy-vectorized dual-mode single Gaussian oracle.
 
-The pinned update semantics every DMSG emitter (gpusim kernels, jit
-kernels, CUDA text) is validated bit-identical against. Per pixel and
+The pinned update semantics every DMSG implementation (gpusim kernels,
+jit kernels, CUDA text and the CPU engine
+:class:`repro.cpu.engine.DmsgEngine` that ``backend="cpu"`` runs) is
+validated bit-identical against. Per pixel and
 frame, with background mode ``(a0, m0, s0)``, candidate ``(a1, m1, s1)``
 and input intensity ``x``:
 

@@ -153,8 +153,12 @@ def repair_pixels(
     age 1 on the observed intensity with an empty (age-0) candidate.
 
     The state arrays are copied and rebound, never mutated in place:
-    ``state_snapshot`` hands out live references, so an in-place repair
-    would silently rewrite history inside checkpoints taken earlier.
+    the vectorized oracles' ``state_snapshot`` hands out live
+    references, so an in-place repair would silently rewrite history
+    inside checkpoints taken earlier. Models that update in place (the
+    CPU engine, the jit kernels) snapshot copies and re-read
+    ``state.w/m/sd`` after the guard runs, so they see the rebound
+    arrays.
     """
     if model not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {model!r}")

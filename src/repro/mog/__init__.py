@@ -23,11 +23,14 @@ for the exact update equations and evaluation order):
   order-independent OR, and the regopt rule is provably equivalent to
   the stored-diff rule under these update equations (see
   :mod:`repro.mog.update`, step 6 note).
+
+These are the readable oracles. The CPU backend runs the in-place,
+cache-blocked :class:`repro.cpu.engine.MoGEngine` at levels D-G, which
+is bit-identical to the ``nosort``/``predicated``/``regopt`` variants.
 """
 
-from .fast import FastMoG
 from .params import MixtureState
 from .reference import MoGReference
 from .vectorized import VARIANTS, MoGVectorized
 
-__all__ = ["FastMoG", "MixtureState", "MoGReference", "MoGVectorized", "VARIANTS"]
+__all__ = ["MixtureState", "MoGReference", "MoGVectorized", "VARIANTS"]

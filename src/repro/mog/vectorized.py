@@ -8,10 +8,12 @@ paper's level F does — recomputing ``diff`` instead of keeping it in
 registers — which provably cannot change the decision under these
 update equations (:mod:`repro.mog.update`, step 6 note).
 
-This module is also the practical CPU path of the library: it is what
-:class:`repro.core.subtractor.BackgroundSubtractor` runs when asked for
-``backend="cpu"``, and what the simulated GPU kernels are validated
-against.
+This module is the readable oracle every other implementation is
+validated against: the simulated GPU kernels, the jit kernels and the
+CPU engine (:mod:`repro.cpu.engine`), which is what
+:class:`repro.core.subtractor.BackgroundSubtractor` runs for
+``backend="cpu"`` at levels D-G. The sorted levels A-C still run this
+module's ``sorted`` variant.
 """
 
 from __future__ import annotations

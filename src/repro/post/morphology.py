@@ -89,16 +89,24 @@ def connected_components(mask: np.ndarray) -> list[Component]:
     out: list[Component] = []
     if count == 0:
         return out
-    slices = ndimage.find_objects(labels)
-    centroids = ndimage.center_of_mass(mask, labels, range(1, count + 1))
-    areas = np.bincount(labels.reshape(-1))
-    for i, (sl, com) in enumerate(zip(slices, centroids), start=1):
+    # Centroids from integer row/column sums over the foreground
+    # pixels: the sums are exact in float64, so they equal
+    # ndimage.center_of_mass without its full-frame passes.
+    flat = np.flatnonzero(labels)
+    lab = labels.reshape(-1)[flat]
+    rows, cols = np.divmod(flat, mask.shape[1])
+    areas = np.bincount(lab, minlength=count + 1)[1:]
+    cy = np.bincount(lab, weights=rows, minlength=count + 1)[1:] / areas
+    cx = np.bincount(lab, weights=cols, minlength=count + 1)[1:] / areas
+    blobs = zip(ndimage.find_objects(labels), areas.tolist(),
+                cy.tolist(), cx.tolist())
+    for i, (sl, area, r, c) in enumerate(blobs, start=1):
         out.append(
             Component(
                 label=i,
-                area=int(areas[i]),
+                area=area,
                 bbox=(sl[0].start, sl[1].start, sl[0].stop, sl[1].stop),
-                centroid=(float(com[0]), float(com[1])),
+                centroid=(r, c),
             )
         )
     out.sort(key=lambda c: c.area, reverse=True)

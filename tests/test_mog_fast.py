@@ -1,11 +1,12 @@
-"""The allocation-free fast path must be bit-identical to `nosort`."""
+"""The CPU engine (the cpu backend's MoG path at levels D-G) must be
+bit-identical to the `nosort` oracle."""
 
 import numpy as np
 import pytest
 
+from repro.cpu.engine import MoGEngine
 from repro.errors import ConfigError
 from repro.mog import MoGVectorized
-from repro.mog.fast import FastMoG
 from repro.video.scenes import evaluation_scene
 
 SHAPE = (32, 64)
@@ -16,7 +17,7 @@ class TestEquivalence:
     def test_bitwise_masks_and_state(self, params, dtype):
         video = evaluation_scene(height=SHAPE[0], width=SHAPE[1])
         clear = MoGVectorized(SHAPE, params, variant="nosort", dtype=dtype)
-        fast = FastMoG(SHAPE, params, dtype=dtype)
+        fast = MoGEngine(SHAPE, params, dtype=dtype)
         for t in range(20):
             frame = video.frame(t)
             assert np.array_equal(clear.apply(frame), fast.apply(frame)), t
@@ -28,7 +29,7 @@ class TestEquivalence:
         p5 = params.replace(num_gaussians=5)
         video = evaluation_scene(height=16, width=32)
         clear = MoGVectorized((16, 32), p5, variant="nosort")
-        fast = FastMoG((16, 32), p5)
+        fast = MoGEngine((16, 32), p5)
         for t in range(8):
             frame = video.frame(t)
             assert np.array_equal(clear.apply(frame), fast.apply(frame))
@@ -36,7 +37,7 @@ class TestEquivalence:
     def test_returned_masks_independent(self, params):
         """apply() must hand out masks the caller can keep."""
         video = evaluation_scene(height=SHAPE[0], width=SHAPE[1])
-        fast = FastMoG(SHAPE, params)
+        fast = MoGEngine(SHAPE, params)
         m1 = fast.apply(video.frame(0))
         snapshot = m1.copy()
         fast.apply(video.frame(1))
@@ -45,17 +46,17 @@ class TestEquivalence:
 
 class TestApi:
     def test_shape_validated(self, params):
-        fast = FastMoG(SHAPE, params)
+        fast = MoGEngine(SHAPE, params)
         with pytest.raises(ConfigError):
             fast.apply(np.zeros((4, 4), dtype=np.uint8))
 
     def test_empty_sequence(self, params):
         with pytest.raises(ConfigError):
-            FastMoG(SHAPE, params).apply_sequence([])
+            MoGEngine(SHAPE, params).apply_sequence([])
 
     def test_background_image(self, params):
         video = evaluation_scene(height=SHAPE[0], width=SHAPE[1])
-        fast = FastMoG(SHAPE, params)
+        fast = MoGEngine(SHAPE, params)
         clear = MoGVectorized(SHAPE, params, variant="nosort")
         for t in range(6):
             fast.apply(video.frame(t))
@@ -64,4 +65,4 @@ class TestApi:
 
     def test_background_before_frames(self, params):
         with pytest.raises(ConfigError):
-            FastMoG(SHAPE, params).background_image()
+            MoGEngine(SHAPE, params).background_image()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from repro.errors import ConfigError
 from repro.post import MaskCleaner, clean_mask, connected_components
@@ -85,6 +86,25 @@ class TestConnectedComponents:
 
     def test_empty(self):
         assert connected_components(np.zeros((8, 8), dtype=bool)) == []
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (41, 1), (64, 97)])
+    def test_centroids_match_center_of_mass(self, shape, density):
+        """Bit-identical to ndimage.center_of_mass: many blobs, blobs
+        on every edge, single-row/column frames, empty and full masks."""
+        rng = np.random.default_rng(int(density * 100) + shape[1])
+        mask = rng.random(shape) < density
+        mask[0, ::3] |= density > 0    # blobs touching the top edge
+        mask[:, -1] |= density > 0.5   # one blob along the right edge
+        labels, count = ndimage.label(mask)
+        comps = connected_components(mask)
+        assert len(comps) == count
+        if count:
+            want = ndimage.center_of_mass(mask, labels, range(1, count + 1))
+            for c in comps:
+                com = want[c.label - 1]
+                assert c.centroid == (float(com[0]), float(com[1]))
+                assert c.area == int((labels == c.label).sum())
 
     def test_validation(self):
         with pytest.raises(ConfigError):

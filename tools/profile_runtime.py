@@ -4,7 +4,8 @@ no optimization without measuring).
 
 Profiles a simulated run and a CPU-backend run with cProfile and prints
 the top functions by cumulative time — the view that motivated
-`repro.mog.fast.FastMoG` and the vectorized transaction counting.
+the in-place CPU engine (`repro.cpu.engine`) and the vectorized
+transaction counting.
 
 Run:  python tools/profile_runtime.py [--frames N] [--top K]
 """
