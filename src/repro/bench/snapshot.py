@@ -312,8 +312,11 @@ def measure_controlled_overload(
     for the whole burst. Uncontrolled, the server can only block
     submitters at full quality; controlled, the governor walks each
     stream down the degradation ladder (relax guards -> cheaper level
-    -> cheaper model -> shed), so the same burst completes faster and
-    the overflow is counted in ``frames_shed`` instead of latency.
+    -> cheaper model -> shed) and the overflow is counted in
+    ``frames_shed`` instead of latency. ``frames_per_s`` counts only
+    the frames that produced a result (``frames_timed``) over
+    ``elapsed_s``; ``frames_offered`` is every frame submitted, shed
+    ones included.
     After the burst the load drops to a trickle and the entry reports
     ``recover_frames``: per-stream frames until every stream is back at
     the baseline rung (``recovered`` is the honesty marker for hitting
@@ -343,16 +346,19 @@ def measure_controlled_overload(
                 server.add_stream(sid, scenario="static")
                 server.submit(sid, frames[0])
             server.drain()
+            for sid in stream_ids:
+                server.results(sid)  # the untimed first frames
             start = time.perf_counter()
             for frame in frames[1:]:
                 for sid in stream_ids:
                     server.submit(sid, frame)
             server.drain()
             elapsed = time.perf_counter() - start
+            served = sum(len(server.results(sid)) for sid in stream_ids)
             snap = server.registry.snapshot()
-            result["frames_per_s"] = round(
-                (len(frames) - 1) * num_streams / elapsed, 2
-            )
+            result["frames_per_s"] = round(served / elapsed, 2)
+            result["frames_timed"] = served
+            result["elapsed_s"] = round(elapsed, 4)
             result["frames_shed"] = int(
                 snap["counters"].get("server.frames_shed", 0)
             )
@@ -394,7 +400,9 @@ def measure_controlled_overload(
         "profile_every": None,
         "frames_per_s": on["frames_per_s"],
         "frames_per_s_uncontrolled": off["frames_per_s"],
-        "frames_timed": (len(frames) - 1) * num_streams,
+        "frames_timed": on["frames_timed"],
+        "frames_offered": (len(frames) - 1) * num_streams,
+        "elapsed_s": on["elapsed_s"],
         "frame_shape": list(shape),
         "num_streams": num_streams,
         "workers": workers,

@@ -39,6 +39,7 @@ from ..config import DMSG_AGE_CAP, MoGParams, resolve_dtype
 from ..dmsg.state import DMSG_NUM_MODES, dmsg_state_from_first_frame
 from ..errors import ConfigError
 from ..mog.params import MixtureState
+from ..utils.arrays import check_model_frame
 
 __all__ = [
     "BLOCK_PIXELS",
@@ -126,36 +127,12 @@ class _BlockEngine:
     def num_components(self) -> int:
         return self.params.num_gaussians
 
-    def _check_frame(self, frame: np.ndarray) -> np.ndarray:
-        """Validate and flatten a frame (the oracles' contract).
-
-        Float frames are cast to the run dtype here and must be finite
-        after the cast; integer frames stay integer and are cast block
-        by block, which gives the same values without a full-frame copy.
-        """
-        frame = np.asarray(frame)
-        if frame.shape != self.shape:
-            raise ConfigError(
-                f"frame shape {frame.shape} != configured {self.shape}"
-            )
-        if frame.dtype.kind not in "uif":
-            raise ConfigError(
-                f"frame dtype must be integer or float, got {frame.dtype}"
-            )
-        flat = frame.reshape(-1)
-        if frame.dtype.kind == "f":
-            flat = flat.astype(self.dtype, copy=False)
-            if not np.isfinite(flat).all():
-                raise ConfigError(
-                    f"frame contains non-finite values after cast to "
-                    f"{self.dtype} (NaN/inf would poison the mixture state)"
-                )
-        return flat
-
     def apply(self, frame: np.ndarray) -> np.ndarray:
         """Process one frame; returns a freshly allocated boolean
         foreground mask."""
-        src = self._check_frame(frame)
+        src = check_model_frame(
+            frame, self.shape, self.dtype, cast_integers=False
+        )
         if self.state is None:
             self.state = self._initial_state(frame)
         elif self._guard is not None:

@@ -43,6 +43,7 @@ import numpy as np
 from ..config import DMSG_AGE_CAP, MoGParams, resolve_dtype
 from ..errors import ConfigError
 from ..mog.params import MixtureState
+from ..utils.arrays import check_model_frame
 from .state import dmsg_state_from_first_frame
 
 #: Algorithmic variants. DMSG has a single pinned form — the branchy /
@@ -102,29 +103,9 @@ class DmsgVectorized:
     def num_pixels(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def _check_frame(self, frame: np.ndarray) -> np.ndarray:
-        """Validate and flatten a frame to the run dtype (same contract
-        as the MoG oracle: integer/float input, finite after the cast)."""
-        frame = np.asarray(frame)
-        if frame.shape != self.shape:
-            raise ConfigError(
-                f"frame shape {frame.shape} != configured {self.shape}"
-            )
-        if frame.dtype.kind not in "uif":
-            raise ConfigError(
-                f"frame dtype must be integer or float, got {frame.dtype}"
-            )
-        flat = frame.reshape(-1).astype(self.dtype)
-        if frame.dtype.kind == "f" and not np.isfinite(flat).all():
-            raise ConfigError(
-                f"frame contains non-finite values after cast to "
-                f"{self.dtype} (NaN/inf would poison the mode state)"
-            )
-        return flat
-
     def apply(self, frame: np.ndarray) -> np.ndarray:
         """Process one frame; returns the boolean foreground mask."""
-        x = self._check_frame(frame)
+        x = check_model_frame(frame, self.shape, self.dtype)
         if self.state is None:
             self.state = dmsg_state_from_first_frame(
                 frame, self.params, self.dtype

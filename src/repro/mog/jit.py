@@ -36,6 +36,7 @@ from ..kernels.jit import (
     numba_available,
     numba_unavailable_reason,
 )
+from ..utils.arrays import check_model_frame
 from .params import MixtureState
 
 __all__ = ["MoGJit", "JIT_ENGINES"]
@@ -154,26 +155,6 @@ class MoGJit:
     def fused(self) -> tuple[str, ...]:
         return self.spec.fused
 
-    def _check_frame(self, frame: np.ndarray) -> np.ndarray:
-        """Validate and flatten a frame to the run dtype (mirrors
-        :meth:`MoGVectorized._check_frame` exactly)."""
-        frame = np.asarray(frame)
-        if frame.shape != self.shape:
-            raise ConfigError(
-                f"frame shape {frame.shape} != configured {self.shape}"
-            )
-        if frame.dtype.kind not in "uif":
-            raise ConfigError(
-                f"frame dtype must be integer or float, got {frame.dtype}"
-            )
-        flat = frame.reshape(-1).astype(self.dtype)
-        if frame.dtype.kind == "f" and not np.isfinite(flat).all():
-            raise ConfigError(
-                f"frame contains non-finite values after cast to "
-                f"{self.dtype} (NaN/inf would poison the mixture state)"
-            )
-        return flat
-
     def apply(self, frame: np.ndarray) -> np.ndarray:
         """Process one frame; returns the boolean foreground mask.
 
@@ -182,7 +163,7 @@ class MoGJit:
         fused chain) and :attr:`last_shadow` / :attr:`last_classes`
         hold the other fused outputs for this frame.
         """
-        x = self._check_frame(frame)
+        x = check_model_frame(frame, self.shape, self.dtype)
         if self.state is None:
             if self.model.name == "dmsg":
                 from ..dmsg import dmsg_state_from_first_frame

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..config import MoGParams, resolve_dtype
 from ..errors import ConfigError
+from ..utils.arrays import check_model_frame
 from .params import MixtureState
 from .rank import rank_order, replace_weakest
 
@@ -79,36 +80,9 @@ class MoGVectorized:
     def num_pixels(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def _check_frame(self, frame: np.ndarray) -> np.ndarray:
-        """Validate and flatten a frame to the run dtype.
-
-        Accepted dtypes: any unsigned/signed integer or float kind
-        (``u``/``i``/``f``); typical sources produce ``uint8``. The
-        finiteness check runs *after* the cast to the run dtype, so a
-        finite ``float64`` value that overflows to ``inf`` in a
-        ``float32`` run is rejected too — non-finite values written
-        into the mixture state would persist for the pixel's lifetime.
-        """
-        frame = np.asarray(frame)
-        if frame.shape != self.shape:
-            raise ConfigError(
-                f"frame shape {frame.shape} != configured {self.shape}"
-            )
-        if frame.dtype.kind not in "uif":
-            raise ConfigError(
-                f"frame dtype must be integer or float, got {frame.dtype}"
-            )
-        flat = frame.reshape(-1).astype(self.dtype)
-        if frame.dtype.kind == "f" and not np.isfinite(flat).all():
-            raise ConfigError(
-                f"frame contains non-finite values after cast to "
-                f"{self.dtype} (NaN/inf would poison the mixture state)"
-            )
-        return flat
-
     def apply(self, frame: np.ndarray) -> np.ndarray:
         """Process one frame; returns the boolean foreground mask."""
-        x = self._check_frame(frame)
+        x = check_model_frame(frame, self.shape, self.dtype)
         if self.state is None:
             self.state = MixtureState.from_first_frame(
                 frame, self.params, self.dtype

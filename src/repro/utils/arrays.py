@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import VideoError
+from ..errors import ConfigError, VideoError
 
 
 def as_gray_frame(frame: np.ndarray) -> np.ndarray:
@@ -38,6 +38,47 @@ def as_gray_frame(frame: np.ndarray) -> np.ndarray:
             raise VideoError("integer frame values must lie in [0, 255]")
         return arr.astype(np.uint8)
     raise VideoError(f"unsupported frame dtype: {arr.dtype}")
+
+
+def check_model_frame(
+    frame: np.ndarray,
+    shape: tuple[int, int],
+    dtype: np.dtype,
+    *,
+    cast_integers: bool = True,
+) -> np.ndarray:
+    """Validate one frame for a background model and flatten it.
+
+    Accepted dtypes: any unsigned/signed integer or float kind
+    (``u``/``i``/``f``); typical sources produce ``uint8``. Float frames
+    are cast to the run ``dtype`` and the finiteness check runs *after*
+    the cast, so a finite ``float64`` value that overflows to ``inf`` in
+    a ``float32`` run is rejected too — non-finite values written into
+    the model state would persist for the pixel's lifetime. Integer
+    frames are cast as well unless ``cast_integers`` is false: the CPU
+    engine casts them block by block, which gives the same values
+    without a full-frame copy. A float frame already in the run dtype
+    comes back as a view of the caller's frame, so models only read
+    the result.
+    """
+    frame = np.asarray(frame)
+    if frame.shape != shape:
+        raise ConfigError(f"frame shape {frame.shape} != configured {shape}")
+    if frame.dtype.kind not in "uif":
+        raise ConfigError(
+            f"frame dtype must be integer or float, got {frame.dtype}"
+        )
+    flat = frame.reshape(-1)
+    if frame.dtype.kind == "f":
+        flat = flat.astype(dtype, copy=False)
+        if not np.isfinite(flat).all():
+            raise ConfigError(
+                f"frame contains non-finite values after cast to {dtype} "
+                f"(NaN/inf would poison the model state)"
+            )
+    elif cast_integers:
+        flat = flat.astype(dtype)
+    return flat
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, what: str = "arrays") -> None:

@@ -7,6 +7,7 @@ import pytest
 from repro.bench.snapshot import (
     BENCH_DIR_ENV,
     SNAPSHOT_NAME,
+    measure_controlled_overload,
     resolve_snapshot_dir,
     update_snapshot,
 )
@@ -64,3 +65,39 @@ class TestMerge:
         update_snapshot({"a": {"v": 1}}, path)
         data = json.loads(path.read_text())
         assert data["entries"] == {"a": {"v": 1}}
+
+
+class TestControlledOverload:
+    def test_frames_per_s_counts_only_served_frames(self, monkeypatch):
+        """Shed frames produce no result, so they must not count as
+        throughput: frames/s x elapsed equals the results emitted."""
+        import repro.config as config
+        from repro.serve import StreamServer
+
+        # A one-frame queue keeps every stream hot, so the controller
+        # walks the whole ladder down to its shed rung within the burst.
+        real_config = config.ServeConfig
+        monkeypatch.setattr(
+            config, "ServeConfig",
+            lambda **kw: real_config(**{**kw, "queue_capacity": 1}),
+        )
+        emitted = []
+        real_results = StreamServer.results
+
+        def counting_results(self, stream_id):
+            out = real_results(self, stream_id)
+            if self.controller is not None:
+                emitted.extend(r for r in out if r.frame_index > 0)
+            return out
+
+        monkeypatch.setattr(StreamServer, "results", counting_results)
+        entry = measure_controlled_overload(
+            num_streams=8, num_frames=49, shape=(48, 64),
+            max_recover_windows=0,
+        )
+        assert entry["frames_shed"] > 0
+        assert entry["frames_offered"] == 48 * 8
+        assert entry["frames_timed"] == len(emitted)
+        assert entry["frames_per_s"] * entry["elapsed_s"] == pytest.approx(
+            len(emitted), abs=0.5
+        )

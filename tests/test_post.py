@@ -3,11 +3,76 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from repro.errors import ConfigError
 from repro.post import MaskCleaner, clean_mask, connected_components
+
+
+def scipy_disk(radius):
+    d = 2 * radius + 1
+    yy, xx = np.mgrid[0:d, 0:d]
+    return (yy - radius) ** 2 + (xx - radius) ** 2 <= radius**2
+
+
+def scipy_clean(mask, open_radius, close_radius, min_area):
+    """The scipy.ndimage composition clean_mask must equal bit for bit."""
+    out = np.asarray(mask) != 0
+    if open_radius:
+        out = ndimage.binary_opening(out, structure=scipy_disk(open_radius))
+    if close_radius:
+        out = ndimage.binary_closing(out, structure=scipy_disk(close_radius))
+    if min_area:
+        labels, count = ndimage.label(out)
+        if count:
+            keep = np.bincount(labels.reshape(-1)) >= min_area
+            keep[0] = False
+            out = keep[labels]
+    return out
+
+
+def scipy_components(mask):
+    """(label, area, bbox, centroid) per component, largest first."""
+    mask = np.asarray(mask) != 0
+    labels, count = ndimage.label(mask)
+    index = np.arange(1, count + 1)
+    areas = ndimage.sum_labels(mask, labels, index)
+    centroids = ndimage.center_of_mass(mask, labels, index)
+    comps = [
+        (i, int(areas[i - 1]),
+         (sl[0].start, sl[1].start, sl[0].stop, sl[1].stop),
+         tuple(float(v) for v in centroids[i - 1]))
+        for i, sl in enumerate(ndimage.find_objects(labels), start=1)
+    ]
+    comps.sort(key=lambda c: c[1], reverse=True)
+    return comps
+
+
+def as_tuples(comps):
+    return [(c.label, c.area, c.bbox, c.centroid) for c in comps]
+
+
+def assert_matches_scipy(mask, open_radius, close_radius, min_area):
+    out = clean_mask(mask, open_radius, close_radius, min_area)
+    want = scipy_clean(mask, open_radius, close_radius, min_area)
+    assert out.dtype == np.bool_ and out.shape == want.shape
+    assert np.array_equal(out, want)
+
+
+def edge_masks():
+    """Blobs touching each edge and each corner, plus full frames."""
+    out = []
+    for h, w in ((9, 9), (12, 17)):
+        for top in (0, h // 2 - 2, h - 5):
+            for left in (0, w // 2 - 2, w - 5):
+                m = np.zeros((h, w), dtype=bool)
+                m[top:top + 5, left:left + 5] = True
+                m[h // 2, w // 2] = False  # an interior or rim pinhole
+                out.append(m)
+        out.append(np.ones((h, w), dtype=bool))
+    return out
 
 
 def blob_mask(h=24, w=24):
@@ -72,6 +137,107 @@ class TestCleanMask:
         small = clean_mask(mask, 0, 0, min_area=2)
         large = clean_mask(mask, 0, 0, min_area=6)
         assert not (large & ~small).any()
+
+
+mask_shapes = st.tuples(st.integers(1, 40), st.integers(1, 40))
+radii = st.integers(0, 3)
+
+
+class TestScipyOracle:
+    """clean_mask and connected_components are bit-identical to the
+    scipy.ndimage compositions they replace."""
+
+    @given(
+        st.data(), mask_shapes, st.floats(0.0, 1.0), radii, radii,
+        st.integers(0, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_clean_mask_random(self, data, shape, density, r_open,
+                               r_close, min_area):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        mask = np.random.default_rng(seed).random(shape) < density
+        assert_matches_scipy(mask, r_open, r_close, min_area)
+
+    @pytest.mark.parametrize("r_open, r_close", [(1, 0), (0, 1), (2, 0),
+                                                 (0, 2), (3, 0), (0, 3),
+                                                 (1, 2)])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 23), (23, 1), (2, 30),
+                                       (30, 2), (7, 7)])
+    @pytest.mark.parametrize("density", [0.3, 0.7, 1.0])
+    def test_thin_frames(self, shape, r_open, r_close, density):
+        mask = np.random.default_rng(sum(shape)).random(shape) < density
+        for min_area in (0, 3):
+            assert_matches_scipy(mask, r_open, r_close, min_area)
+
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_full_frame_border_rings_clear(self, radius):
+        """Outside the frame is background. Closing an all-True frame
+        clears the ring where the disk reaches past an edge; opening
+        grows back from the eroded interior but not into the corners."""
+        mask = np.ones((11, 13), dtype=bool)
+        ring = np.ones_like(mask)
+        ring[radius:-radius, radius:-radius] = False
+        closed = clean_mask(mask, 0, radius)
+        assert not closed[ring].any()
+        assert closed[~ring].all()
+        opened = clean_mask(mask, radius, 0)
+        assert not opened[[0, 0, -1, -1], [0, -1, 0, -1]].any()
+        assert opened[~ring].all()
+        for r_open, r_close in ((radius, 0), (0, radius), (radius, radius)):
+            assert_matches_scipy(mask, r_open, r_close, 0)
+
+    @pytest.mark.parametrize("index", range(20))
+    def test_edge_and_corner_blobs(self, index):
+        mask = edge_masks()[index]
+        for r_open in range(3):
+            for r_close in range(4):
+                assert_matches_scipy(mask, r_open, r_close, 6)
+        assert as_tuples(connected_components(mask)) == scipy_components(mask)
+
+    def test_uint8_input(self):
+        rng = np.random.default_rng(3)
+        mask = (rng.random((30, 40)) < 0.4).astype(np.uint8) * 255
+        for r_open, r_close in ((1, 2), (0, 2), (2, 0)):
+            assert_matches_scipy(mask, r_open, r_close, 4)
+        assert as_tuples(connected_components(mask)) == scipy_components(mask)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "transposed"])
+    def test_non_contiguous_input(self, layout):
+        base = np.random.default_rng(4).random((40, 50)) < 0.45
+        mask = {
+            "fortran": np.asfortranarray(base),
+            "strided": base[::2, 1::3],
+            "transposed": base.T,
+        }[layout]
+        assert not mask.flags.c_contiguous
+        for r_open, r_close in ((1, 2), (0, 2), (0, 0)):
+            assert_matches_scipy(mask, r_open, r_close, 5)
+        assert as_tuples(connected_components(mask)) == scipy_components(mask)
+
+    @pytest.mark.parametrize("args", [(0, 0, 0), (0, 0, 4), (1, 0, 0),
+                                      (0, 2, 4), (1, 2, 4)])
+    def test_input_neither_modified_nor_aliased(self, args):
+        mask = np.random.default_rng(5).random((24, 24)) < 0.5
+        snapshot = mask.copy()
+        out = clean_mask(mask, *args)
+        assert np.array_equal(mask, snapshot)
+        assert not np.shares_memory(out, mask)
+        out[...] = ~out
+        assert np.array_equal(mask, snapshot)
+
+    @given(st.data(), mask_shapes, st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_components_random(self, data, shape, density):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        mask = np.random.default_rng(seed).random(shape) < density
+        assert as_tuples(connected_components(mask)) == scipy_components(mask)
+
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_components_many_equal_labels(self, density):
+        """Thousands of foreground pixels over many labels: grouping
+        must keep raster order within a label (a stable sort)."""
+        mask = np.random.default_rng(6).random((64, 97)) < density
+        assert as_tuples(connected_components(mask)) == scipy_components(mask)
 
 
 class TestConnectedComponents:
