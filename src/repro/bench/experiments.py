@@ -587,65 +587,6 @@ def fusion_counters(ctx: ExperimentContext | None = None) -> Experiment:
     )
 
 
-def jit_speedup(ctx: ExperimentContext | None = None) -> Experiment:
-    """Extension: the compiled (numba) backend vs the vectorized cpu
-    backend, per optimization level.
-
-    Wall-clock frames/s of ``backend="jit"`` against ``backend="cpu"``
-    for every paper level, same scene, same dtype, compile time
-    excluded via the warmup window. Masks are bit-identical by
-    construction (the jit oracle tests pin this), so the table is pure
-    throughput. Runs without numba too — the jit column then measures
-    the cpu fallback (marked, speedup ~1x) instead of failing.
-    """
-    import warnings as _warnings
-
-    from ..kernels.jit import numba_available
-    from .snapshot import measure_fps
-
-    shape = (96, 128)
-    num_frames = 17
-    rows = []
-    for level in "ABCDEFG":
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            cpu = measure_fps(
-                "cpu", num_frames=num_frames, shape=shape, level=level
-            )
-            jit = measure_fps(
-                "jit", num_frames=num_frames, shape=shape, level=level
-            )
-        ratio = jit["frames_per_s"] / cpu["frames_per_s"]
-        rows.append(
-            [
-                level,
-                f"{cpu['frames_per_s']:.0f}",
-                f"{jit['frames_per_s']:.0f}",
-                f"{ratio:.2f}x",
-                f"{jit['compile_s']:.2f}s",
-                "numba" if jit["numba"] else "cpu fallback",
-            ]
-        )
-    notes = (
-        f"backend='jit' vs backend='cpu', {shape[0]}x{shape[1]} px, "
-        f"{num_frames} frames, double precision; compile time excluded "
-        "from the rate (warmup window) and reported separately."
-    )
-    if not numba_available():
-        notes += (
-            " numba is NOT installed in this environment: the jit column "
-            "measured the graceful cpu fallback, so the speedup is ~1x "
-            "by construction. Install the [jit] extra for real numbers."
-        )
-    return Experiment(
-        "JIT (extension)",
-        "Compiled per-pixel kernels (backend='jit') vs the cpu backend",
-        ["level", "cpu f/s", "jit f/s", "speedup", "compile", "engine"],
-        rows,
-        notes=notes,
-    )
-
-
 def models_matrix(ctx: ExperimentContext | None = None) -> Experiment:
     """Extension: model family x level x scenario quality matrix.
 
@@ -699,6 +640,5 @@ ALL_EXPERIMENTS = {
     "embedded": embedded_study,
     "jitter": camera_jitter_study,
     "fusion": fusion_counters,
-    "jit": jit_speedup,
     "models": models_matrix,
 }

@@ -79,13 +79,10 @@ def _frames(num_frames: int, shape=SNAPSHOT_SHAPE):
     return [video.frame(t) for t in range(num_frames)]
 
 
-#: Warmup frames excluded from the timed window per backend. One frame
-#: covers model initialisation for the interpreted paths; the jit
-#: backend gets a few more so numba's parallel runtime spin-up and any
-#: residual lazy specialisation never pollute the steady-state rate
-#: (bulk compilation already happens eagerly at model construction and
-#: is reported as ``compile_s``).
-DEFAULT_WARMUP_FRAMES = {"cpu": 1, "sim": 1, "jit": 3}
+#: Warmup frames excluded from the timed window per backend: one frame
+#: covers model initialisation (kernel compilation happens at model
+#: construction and is reported as ``compile_s``).
+DEFAULT_WARMUP_FRAMES = {"cpu": 1, "sim": 1, "jit": 1}
 
 
 def measure_fps(
@@ -103,10 +100,11 @@ def measure_fps(
 
     ``warmup_frames`` leading frames (default per
     :data:`DEFAULT_WARMUP_FRAMES`) are processed before the timed
-    window opens, so model initialisation — and for the jit backend,
-    compilation — never pollutes the steady-state rate. The entry
-    records the excluded time as ``warmup_s`` and the jit kernel
-    compilation as ``compile_s``. ``integrity`` is an optional
+    window opens, so model initialisation never pollutes the
+    steady-state rate. The entry records the excluded time as
+    ``warmup_s``, the kernel compilation at construction as
+    ``compile_s`` and, for the cpu backend, whether the model ran as a
+    compiled kernel as ``compiled``. ``integrity`` is an optional
     :class:`~repro.config.IntegrityPolicy` enabling the mixture-state
     guard — the "ECC-on" software analogue, whose per-frame validation
     cost the snapshot tracks against the unguarded path. ``model``
@@ -163,10 +161,8 @@ def measure_fps(
         "warmup_s": round(warmup_s, 4),
         "compile_s": round(getattr(bs, "compile_s", 0.0), 4),
     }
-    if backend == "jit":
-        # Honesty marker: False means numba was absent and the entry
-        # actually measured the cpu fallback.
-        entry["numba"] = bs.active_backend == "jit"
+    if bs.active_backend == "cpu":
+        entry["compiled"] = bs.compiled
     return entry
 
 
@@ -451,9 +447,7 @@ def run_snapshot(
     num_sim = 9 if quick else 33
     num_cpu = 33 if quick else 129
     num_srv = 9 if quick else 33
-    num_jit = 33 if quick else 129
     num_hd = 5 if quick else 9
-    num_jit_hd = 9 if quick else 17
     entries = {
         "cpu": measure_fps("cpu", num_frames=num_cpu),
         # The soft-error protection path: every frame's mixture state is
@@ -498,17 +492,9 @@ def run_snapshot(
         # as "cpu" so the dmsg-vs-mog frames/s ratio compares like with
         # like (one mode + one candidate per pixel vs K Gaussians).
         "dmsg": measure_fps("cpu", num_frames=num_cpu, model="dmsg"),
-        # The compiled hot path. Entries carry ``"numba": false`` when
-        # the measurement actually ran the cpu fallback (numba absent),
-        # so stale speedup claims cannot hide in the snapshot.
-        "jit": measure_fps("jit", num_frames=num_jit),
-        # Full-HD pair: the paper's target geometry. The jit-vs-cpu
-        # ratio at this shape is what the benchmark suite asserts.
+        # The paper's target geometry.
         "cpu_fullhd": measure_fps(
             "cpu", num_frames=num_hd, shape=FULL_HD,
-        ),
-        "jit_fullhd": measure_fps(
-            "jit", num_frames=num_jit_hd, shape=FULL_HD,
         ),
         "dmsg_fullhd": measure_fps(
             "cpu", num_frames=num_hd, shape=FULL_HD, model="dmsg",

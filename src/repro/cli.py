@@ -85,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       "whatever the --level prefix names)")
     subx.add_argument(
         "--backend", choices=("cpu", "sim", "jit"), default="cpu",
-        help="cpu: vectorized NumPy; jit: numba-compiled kernels "
-        "(falls back to cpu when numba is missing); sim: simulated "
+        help="cpu: compiled per-pixel kernels (NumPy without a C "
+        "compiler); jit: alias of cpu; sim: simulated "
         "C2075 with profiling",
     )
     subx.add_argument("--dtype", choices=("double", "float"), default="double")
@@ -122,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "MoG kernel); prints the fused region analytics")
     tr.add_argument(
         "--backend", choices=("cpu", "sim", "jit"), default="cpu",
-        help="cpu: vectorized NumPy; jit: numba-compiled kernels "
-        "(cpu fallback without numba); sim: simulated C2075",
+        help="cpu: compiled per-pixel kernels (NumPy without a C "
+        "compiler); jit: alias of cpu; sim: simulated C2075",
     )
     tr.add_argument("--profile-every", type=int, default=1, metavar="N",
                     help="sim backend: profile every Nth frame, run the "
@@ -189,8 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="background-model family for every stream "
                     "(default mog)")
     sv.add_argument("--backend", choices=("cpu", "sim", "jit"), default="cpu",
-                    help="per-stream pipeline backend (jit falls back "
-                    "to cpu without numba)")
+                    help="per-stream pipeline backend (jit is an "
+                    "alias of cpu)")
     sv.add_argument("--learning-rate", type=float, default=0.08)
     sv.add_argument("--warmup", type=int, default=15)
     sv.add_argument("--workers", type=int, default=2,
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument(
         "names", nargs="*", default=["fig8"],
         help="experiment ids (table1..4, fig6..12, cpu_baselines, "
-        "embedded, fusion, jit); default fig8",
+        "embedded, fusion, models); default fig8",
     )
 
     bn = sub.add_parser(
@@ -839,8 +839,8 @@ def _cmd_bench(args) -> int:
         f"warmup {entry['warmup_s']:.3f}s, "
         f"compile {entry['compile_s']:.3f}s)"
     )
-    if entry.get("numba") is False:
-        print("(numba unavailable: jit degraded to the cpu fallback)")
+    if entry.get("compiled") is False:
+        print("(no compiled kernel: the model ran in NumPy)")
     return 0
 
 

@@ -160,10 +160,10 @@ class FusionParams:
         return dataclasses.replace(self, **kwargs)
 
 
-#: Execution backends a subtractor can run on. ``"cpu"`` is the NumPy
-#: CPU engine (:mod:`repro.cpu.engine`), ``"sim"`` the simulated GPU,
-#: ``"jit"`` the numba-compiled per-pixel kernels (falls back to
-#: ``"cpu"`` with a warning when numba is not installed).
+#: Execution backends a subtractor can run on. ``"cpu"`` is the CPU
+#: engine (:mod:`repro.cpu.engine`: compiled per-pixel kernels, the
+#: NumPy block loop without a C compiler), ``"sim"`` the simulated GPU;
+#: ``"jit"`` is an alias of ``"cpu"``.
 BACKENDS = ("cpu", "sim", "jit")
 
 #: Background-model families the kernel stack can run. ``"mog"`` is
@@ -769,8 +769,7 @@ class ServeConfig:
     backend:
         Default execution backend for the per-stream pipelines (one of
         :data:`BACKENDS`); ``None`` keeps the server's default
-        (``"cpu"``). ``"jit"`` degrades per the subtractor's fallback
-        semantics when numba is unavailable, so masks stay identical.
+        (``"cpu"``). ``"jit"`` is an alias of ``"cpu"``.
     model:
         Default background-model family for the per-stream pipelines
         (one of :data:`MODELS`); ``None`` keeps the server's default

@@ -1,19 +1,16 @@
 """The top-level :class:`BackgroundSubtractor` facade.
 
-Three backends:
+Three backend spellings:
 
-* ``backend="cpu"`` — the practical interpreted path, no simulation:
-  the in-place, cache-blocked engine of the selected model family
-  (:mod:`repro.cpu.engine`) at MoG levels D-G and every DMSG level; the
-  sorted MoG levels A-C run the vectorized oracle.
+* ``backend="cpu"`` — the practical path, no simulation: the in-place
+  engine of the selected model family (:mod:`repro.cpu.engine`) at MoG
+  levels D-G and every DMSG level, whose per-pixel update runs as C
+  compiled from the :mod:`repro.cudagen` fragments
+  (:mod:`repro.cpu.native`; the NumPy block loop without a compiler).
+  The sorted MoG levels A-C run the vectorized oracle.
   ``report()`` is not available.
-* ``backend="jit"`` — the compiled hot path: per-pixel kernels emitted
-  from the level's :class:`~repro.kernels.ir.KernelSpec` and compiled
-  with numba (:mod:`repro.kernels.jit`). Masks, mixture state and
-  fused shadow/class maps are bit-identical to ``cpu``. When numba is
-  not installed the subtractor degrades to ``cpu`` with a
-  ``RuntimeWarning`` and a ``jit.fallbacks`` counter —
-  :attr:`BackgroundSubtractor.active_backend` says what actually ran.
+* ``backend="jit"`` — an alias of ``cpu``, kept so existing
+  configurations keep working.
 * ``backend="sim"`` — the paper-reproduction path: the chosen
   optimization level runs on the simulated Tesla C2075 and every frame
   is profiled (counters, occupancy, modelled time).
@@ -25,18 +22,15 @@ vectorized variants implement the same pinned semantics.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..config import BACKENDS, FusionParams, MoGParams, RunConfig
 from ..cpu.engine import ENGINE_VARIANTS, DmsgEngine, MoGEngine
-from ..errors import ConfigError, JitUnavailableError
+from ..errors import ConfigError
 from ..gpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from ..gpusim.device import TESLA_C2075, DeviceSpec
 from ..kernels import KernelConfig
 from ..kernels.ir import MOG_FAMILY
-from ..mog.jit import MoGJit
 from ..mog.vectorized import MoGVectorized
 from ..post.analytics import (
     occupancy_heatmap,
@@ -76,12 +70,11 @@ class BackgroundSubtractor:
         set, else the level designator's prefix, else ``"mog"``. An
         explicit ``model`` must agree with the level's prefix.
     backend:
-        ``"cpu"`` (NumPy CPU engine), ``"jit"`` (numba-compiled
-        kernels, cpu fallback when numba is missing) or ``"sim"``
-        (simulated GPU). ``None`` (default) takes
-        ``run_config.backend`` when set, else ``"sim"``.
+        ``"cpu"`` (CPU engine, compiled per-pixel kernels), ``"jit"``
+        (an alias of ``"cpu"``) or ``"sim"`` (simulated GPU). ``None``
+        (default) takes ``run_config.backend`` when set, else ``"sim"``.
     run_config, device, calibration, registers:
-        Simulation knobs; the CPU/JIT backends read only
+        Simulation knobs; the CPU backend reads only
         ``run_config.dtype`` (and ``run_config.backend``).
     profile_every:
         Override ``run_config.profile_every`` for the simulated
@@ -154,72 +147,49 @@ class BackgroundSubtractor:
             else self.spec
         )
         self.backend = backend
-        #: What actually runs: equals ``backend`` except when a
-        #: ``"jit"`` request degraded to ``"cpu"`` (numba missing).
-        self.active_backend = backend
+        #: What actually runs: ``"jit"`` is an alias of ``"cpu"``.
+        self.active_backend = "cpu" if backend == "jit" else backend
         self._fault_injector = fault_injector
         self._telemetry = telemetry
-        #: Seconds spent compiling kernels at construction (jit backend
-        #: only; 0.0 elsewhere and on warm-cache hits).
+        #: Seconds spent compiling kernels at construction (0.0 on a
+        #: warm-cache hit and on the paths without compiled kernels).
         self.compile_s = 0.0
         self._fusion_cfg = None
-        self._jit_fused = False
         self._last_mask = None
         self._last_shadow = None
         self._last_classes = None
-        if backend in ("cpu", "jit"):
+        if self.active_backend == "cpu":
             if post_stages:
                 raise ConfigError(
                     "post_stages (the unfused post-kernel baseline) is "
-                    "a simulator feature; the CPU and JIT backends fuse "
-                    "via a fused level spec"
+                    "a simulator feature; the CPU backend fuses via a "
+                    "fused level spec"
                 )
             dtype = run_config.dtype if run_config is not None else "double"
-            self._impl = None
-            if backend == "jit":
-                try:
-                    self._impl = MoGJit(
-                        self.shape, self.params,
-                        spec=self.spec.kernel, dtype=dtype, fusion=fusion,
-                        integrity=integrity, telemetry=telemetry,
-                    )
-                    self._jit_fused = bool(self.spec.kernel.fused)
-                    self.compile_s = self._impl.compile_s
-                except JitUnavailableError as exc:
-                    warnings.warn(
-                        f"backend='jit' requested but unavailable ({exc}); "
-                        "falling back to the cpu backend (masks are "
-                        "identical, throughput is not)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    if telemetry is not None:
-                        telemetry.counter("jit.fallbacks").inc()
-                    self.active_backend = "cpu"
-            if self._impl is None:
-                if self.model.name == "dmsg":
-                    self._impl = DmsgEngine(
-                        self.shape, self.params, dtype=dtype,
-                        integrity=integrity, telemetry=telemetry,
-                    )
-                elif self.spec.oracle_variant in ENGINE_VARIANTS:
-                    self._impl = MoGEngine(
-                        self.shape, self.params, dtype=dtype,
-                        integrity=integrity, telemetry=telemetry,
-                    )
-                else:
-                    self._impl = MoGVectorized(
-                        self.shape, self.params,
-                        variant=self.spec.oracle_variant, dtype=dtype,
-                        integrity=integrity, telemetry=telemetry,
-                    )
-                if self.spec.kernel.fused:
-                    # The CPU mirror of the fused tail: same expressions,
-                    # same run dtype, applied right after the model update.
-                    self._fusion_cfg = KernelConfig.from_params(
-                        self.params, dtype, fusion=fusion,
-                        model=self.model,
-                    )
+            if self.model.name == "dmsg":
+                self._impl = DmsgEngine(
+                    self.shape, self.params, dtype=dtype,
+                    integrity=integrity, telemetry=telemetry,
+                )
+            elif self.spec.oracle_variant in ENGINE_VARIANTS:
+                self._impl = MoGEngine(
+                    self.shape, self.params, dtype=dtype,
+                    integrity=integrity, telemetry=telemetry,
+                )
+            else:
+                self._impl = MoGVectorized(
+                    self.shape, self.params,
+                    variant=self.spec.oracle_variant, dtype=dtype,
+                    integrity=integrity, telemetry=telemetry,
+                )
+            self.compile_s = getattr(self._impl, "compile_s", 0.0)
+            if self.spec.kernel.fused:
+                # The CPU mirror of the fused tail: same expressions,
+                # same run dtype, applied right after the model update.
+                self._fusion_cfg = KernelConfig.from_params(
+                    self.params, dtype, fusion=fusion,
+                    model=self.model,
+                )
             self._pipeline = None
         else:
             if profile_every is not None:
@@ -237,6 +207,12 @@ class BackgroundSubtractor:
             )
             self._impl = None
 
+    @property
+    def compiled(self) -> bool:
+        """Whether the model update runs as a compiled kernel (the CPU
+        engines with a C compiler available)."""
+        return bool(getattr(self._impl, "compiled", False))
+
     # ------------------------------------------------------------------
     def apply(self, frame: np.ndarray) -> np.ndarray:
         """Process one frame; returns the boolean foreground mask."""
@@ -248,26 +224,8 @@ class BackgroundSubtractor:
             mask = self._impl.apply(frame)
             if self._fusion_cfg is not None:
                 mask = self._apply_fused_post(frame, mask)
-            elif self._jit_fused:
-                self._record_jit_fused(mask)
             return mask
         return self._pipeline.apply(frame)
-
-    def _record_jit_fused(self, mask) -> None:
-        """Collect the fused outputs the compiled kernel produced
-        in-register (no host-side post pass needed)."""
-        stages = self.spec.kernel.fused
-        self._last_mask = mask
-        self._last_shadow = (
-            (self._impl.last_shadow != 0) if "shadow" in stages else None
-        )
-        self._last_classes = (
-            self._impl.last_classes if "histogram" in stages else None
-        )
-        record_fused_telemetry(
-            self._telemetry, mask,
-            shadow=self._last_shadow, classes=self._last_classes,
-        )
 
     def _apply_fused_post(self, frame, mask) -> np.ndarray:
         """CPU mirror of the fused kernel tail (NumPy oracle)."""
@@ -292,7 +250,7 @@ class BackgroundSubtractor:
         backend.
         """
         if self._impl is not None:
-            if self._fusion_cfg is not None or self._jit_fused:
+            if self._fusion_cfg is not None:
                 # apply_sequence bypasses the per-frame wrapper, so the
                 # fused bookkeeping must run frame by frame here.
                 return np.stack([self.apply(f) for f in list(frames)]), None
@@ -356,10 +314,10 @@ class BackgroundSubtractor:
     def state_snapshot(self):
         """Uniform snapshot across backends: ``(w, m, sd, frames)`` or
         ``None`` before the first frame. The arrays never alias the
-        running model: the CPU engine and the JIT kernels mutate state
-        in place, so they copy; the sorted CPU levels' oracle rebinds
-        its arrays each frame, so its live references stay valid; the
-        sim backend downloads a copy from the simulated device."""
+        running model: the CPU engines mutate state in place, so they
+        copy; the sorted CPU levels' oracle rebinds its arrays each
+        frame, so its live references stay valid; the sim backend
+        downloads a copy from the simulated device."""
         if self._impl is not None:
             return self._impl.state_snapshot()
         return self._pipeline.state_snapshot()

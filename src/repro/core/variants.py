@@ -331,31 +331,30 @@ def backend_availability(level) -> dict:
     """Per-backend availability of a level spec, for discovery.
 
     Callers (``repro levels --json``, admission checks) use this to
-    learn *before the first frame* that e.g. ``jit`` is requested but
-    numba is missing, or that a spec has no CUDA rendering. Each entry
-    is ``{"available": bool}`` plus a ``"reason"`` when unavailable.
+    learn *before the first frame* that e.g. the compiled kernels cannot
+    be built, or that a spec has no CUDA rendering. Each entry is
+    ``{"available": bool}`` plus a ``"reason"`` when unavailable.
 
     * ``cpu`` / ``sim`` — always available (every valid spec has a
       vectorized variant and a simulator kernel).
-    * ``jit`` — available iff numba imports in this process; the probe
-      reason is surfaced verbatim.
+    * ``jit`` — whether the compiled per-pixel kernels can be built (a
+      C compiler on ``PATH``); without one, both spellings of the cpu
+      backend run the NumPy block loop.
     * ``cuda-text`` — whether :mod:`repro.cudagen` can render the spec
       (register-resident tiling is a simulator-only ablation).
     """
-    from ..kernels.jit import numba_available, numba_unavailable_reason
+    from ..cpu.native import compiler_status
 
     spec = resolve_level_spec(level).kernel
     out = {
         "cpu": {"available": True},
         "sim": {"available": True},
     }
-    if numba_available():
-        out["jit"] = {"available": True}
-    else:
-        out["jit"] = {
-            "available": False,
-            "reason": numba_unavailable_reason() or "numba is not available",
-        }
+    compiled, reason = compiler_status()
+    out["jit"] = (
+        {"available": True} if compiled
+        else {"available": False, "reason": reason}
+    )
     if spec.tiling == "registers":
         out["cuda-text"] = {
             "available": False,

@@ -1,4 +1,9 @@
-"""The CPU engine: one in-place, cache-blocked model per family.
+"""The CPU engine: one in-place model per family.
+
+Each frame runs as one compiled C loop over all pixels
+(:mod:`repro.cpu.native`). Without a C compiler the engine runs the
+NumPy block loop below instead; that loop is also the compiled path's
+test oracle, and both give the same bits.
 
 The vectorized oracles (:class:`~repro.mog.MoGVectorized`,
 :class:`~repro.dmsg.DmsgVectorized`) are written for clarity: every
@@ -25,8 +30,7 @@ step 6 note). The sorted levels A–C keep running the oracle.
 :class:`DmsgEngine` serves every DMSG level.
 
 Unlike the oracles, whose ``apply`` rebinds the state arrays,
-the engines mutate them, so :meth:`state_snapshot` returns copies —
-the contract :class:`~repro.mog.jit.MoGJit` documents.
+the engines mutate them, so :meth:`state_snapshot` returns copies.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ import threading
 
 import numpy as np
 
-from ..config import DMSG_AGE_CAP, MoGParams, resolve_dtype
+from ..config import MoGParams, resolve_dtype
 from ..dmsg.state import DMSG_NUM_MODES, dmsg_state_from_first_frame
 from ..errors import ConfigError
 from ..mog.params import MixtureState
 from ..utils.arrays import check_model_frame
+from . import native
 
 __all__ = [
     "BLOCK_PIXELS",
@@ -89,9 +94,10 @@ def _scratch(k: int, dtype: np.dtype) -> _Scratch:
 
 
 class _BlockEngine:
-    """Frame validation, integrity guarding, checkpointing and the
-    block loop shared by both families; subclasses supply the state
-    initialiser and the per-block update."""
+    """Frame validation, integrity guarding, checkpointing, the
+    compiled-kernel dispatch and the NumPy block loop shared by both
+    families; subclasses supply the state initialiser and the
+    per-block update."""
 
     family = ""
 
@@ -118,6 +124,22 @@ class _BlockEngine:
                 integrity, self.params, telemetry=telemetry,
                 model=self.family,
             )
+        self._consts = native.constants(self.params, self.dtype)
+        #: The compiled per-pixel loop, or ``None`` when no compiler is
+        #: available (the NumPy block loop runs instead).
+        self._kernel, self.compile_s = native.load_kernel(
+            self.family, self.num_components, self.dtype
+        )
+        if telemetry is not None:
+            if self._kernel is None:
+                telemetry.counter("jit.fallbacks").inc()
+            g = telemetry.gauge("jit.compile_s")
+            g.set(g.value + self.compile_s)
+
+    @property
+    def compiled(self) -> bool:
+        """Whether frames run through the compiled kernel."""
+        return self._kernel is not None
 
     @property
     def num_pixels(self) -> int:
@@ -139,11 +161,20 @@ class _BlockEngine:
             # Before classification, like the oracles. Repair rebinds
             # the state arrays, so they are read only after this.
             self._guard.check(self.state, src, self.frames_processed)
-        st = self.state
+        mask = np.empty(self.num_pixels, dtype=bool)
+        if self._kernel is not None:
+            self._kernel(src, self.state, mask, self._consts)
+        else:
+            self._apply_blocks(src, self.state, mask)
+        self.frames_processed += 1
+        return mask.reshape(self.shape)
+
+    def _apply_blocks(self, src, st, mask) -> None:
+        """The NumPy block loop: :meth:`_block` over ``BLOCK_PIXELS``
+        slices, with per-thread scratch."""
         sc = _scratch(st.num_gaussians, self.dtype)
         cast = src.dtype != self.dtype
         n = self.num_pixels
-        mask = np.empty(n, dtype=bool)
         with np.errstate(divide="ignore"):
             for s in range(0, n, BLOCK_PIXELS):
                 e = min(s + BLOCK_PIXELS, n)
@@ -156,8 +187,6 @@ class _BlockEngine:
                     st.w[:, s:e], st.m[:, s:e], st.sd[:, s:e],
                     x, mask[s:e], sc, e - s,
                 )
-        self.frames_processed += 1
-        return mask.reshape(self.shape)
 
     def apply_sequence(self, frames) -> np.ndarray:
         """Process an iterable of frames; returns a ``(T, H, W)`` bool
@@ -221,10 +250,9 @@ class MoGEngine(_BlockEngine):
         """Algorithm 1 (:mod:`repro.mog.update`) on one block, in the
         ``nosort`` oracle's expression order."""
         dt = self.dtype.type
-        p = self.params
-        alpha = dt(1.0 - p.learning_rate)
-        oma = dt(1.0) - alpha
-        gamma1 = dt(p.match_threshold)
+        alpha, oma, gamma1, gamma2, init_w, init_sd, sd_floor, _ = (
+            self._consts
+        )
         one = dt(1.0)
         d, rho, omr = sc.d[:, :b], sc.rho[:, :b], sc.omr[:, :b]
         t1, t2 = sc.t1[:, :b], sc.t2[:, :b]
@@ -254,23 +282,23 @@ class MoGEngine(_BlockEngine):
         np.multiply(rho, t2, out=t2)
         np.add(t1, t2, out=t1)
         np.sqrt(t1, out=t1)
-        np.maximum(t1, dt(p.sd_floor), out=sd, where=match)
+        np.maximum(t1, sd_floor, out=sd, where=match)
 
         # Step 5: the virtual component replaces the weakest (first
         # minimum) on a total miss; its diff counts as 0.
         if not any_match.all():
             cols = np.flatnonzero(~any_match)
             rows = np.argmin(w[:, cols], axis=0)
-            w[rows, cols] = dt(p.initial_weight)
+            w[rows, cols] = init_w
             m[rows, cols] = x[cols]
-            sd[rows, cols] = dt(p.initial_sd)
+            sd[rows, cols] = init_sd
             d[rows, cols] = dt(0.0)
 
         # Step 6: background iff some component has w' >= Gamma2 and
         # diff < Gamma1 * sd'.
         np.multiply(gamma1, sd, out=t1)
         np.less(d, t1, out=close)
-        np.greater_equal(w, dt(p.background_weight), out=match)
+        np.greater_equal(w, gamma2, out=match)
         np.logical_and(close, match, out=close)
         np.any(close, axis=0, out=any_match)
         np.logical_not(any_match, out=fg)
@@ -293,8 +321,7 @@ class DmsgEngine(_BlockEngine):
         Both modes share the running-average arithmetic, so it runs on
         the ``(2, b)`` planes at once; the commits differ per mode."""
         dt = self.dtype.type
-        p = self.params
-        gamma1 = dt(p.match_threshold)
+        _, _, gamma1, _, _, init_sd, sd_floor, age_cap = self._consts
         one = dt(1.0)
         zero = dt(0.0)
         d, rho, omr = sc.d[:, :b], sc.rho[:, :b], sc.omr[:, :b]
@@ -311,7 +338,7 @@ class DmsgEngine(_BlockEngine):
 
         # Running-average candidates for both modes.
         np.add(w, one, out=age)
-        np.minimum(age, dt(DMSG_AGE_CAP), out=age)
+        np.minimum(age, age_cap, out=age)
         np.divide(one, age, out=rho)
         np.subtract(one, rho, out=omr)
         np.multiply(omr, m, out=mu)
@@ -323,7 +350,7 @@ class DmsgEngine(_BlockEngine):
         np.multiply(rho, t2, out=t2)
         np.add(t1, t2, out=t1)
         np.sqrt(t1, out=t1)
-        np.maximum(t1, dt(p.sd_floor), out=t1)
+        np.maximum(t1, sd_floor, out=t1)
 
         # Step 2: a matched background absorbs the sample.
         matched_b = hit[0]
@@ -343,7 +370,7 @@ class DmsgEngine(_BlockEngine):
         np.copyto(sd[1], t1[1], where=upd)
         np.copyto(w[1], one, where=reset)
         np.copyto(m[1], x, where=reset)
-        np.copyto(sd[1], dt(p.initial_sd), where=reset)
+        np.copyto(sd[1], init_sd, where=reset)
 
         # Step 4: age-gated swap; the demoted background becomes an
         # empty candidate (age 0).

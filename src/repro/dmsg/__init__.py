@@ -19,8 +19,8 @@ target — at a quality cost the model × level × scenario matrix
 (``repro experiments models``) makes explicit.
 
 This package mirrors :mod:`repro.mog`'s role: it holds the vectorized
-NumPy oracle (:class:`DmsgVectorized`) the simulated-GPU and jit
-emitters and the CPU engine (:class:`repro.cpu.engine.DmsgEngine`) are
+NumPy oracle (:class:`DmsgVectorized`) the simulated-GPU emitter and
+the CPU engine (:class:`repro.cpu.engine.DmsgEngine`) are
 pinned bit-identical against, and the state initialiser shared by every
 execution path.
 """

@@ -14,8 +14,8 @@ plane     MoG meaning             DMSG meaning
 
 Row 0 is the apparent background, row 1 the candidate. Reusing the
 container keeps every layer that moves state around — AoS/SoA device
-layouts, checkpoint files, ``state_snapshot`` tuples, the jit kernel
-signature — family-agnostic.
+layouts, checkpoint files, ``state_snapshot`` tuples, the compiled
+kernel signature — family-agnostic.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """NumPy-vectorized dual-mode single Gaussian oracle.
 
 The pinned update semantics every DMSG implementation (gpusim kernels,
-jit kernels, CUDA text and the CPU engine
+CUDA text and the CPU engine
 :class:`repro.cpu.engine.DmsgEngine` that ``backend="cpu"`` runs) is
 validated bit-identical against. Per pixel and
 frame, with background mode ``(a0, m0, s0)``, candidate ``(a1, m1, s1)``

@@ -96,14 +96,6 @@ class InjectedFault(ReproError):
     mode) — lets tests distinguish injected failures from real ones."""
 
 
-class JitUnavailableError(ReproError):
-    """The compiled (numba) kernel engine was requested but cannot run
-    in this process — numba is not installed or failed to import. The
-    message carries the probe's reason; callers that can degrade (the
-    ``backend="jit"`` subtractor path) catch this and fall back to the
-    ``cpu`` backend with a warning and a ``jit.fallbacks`` counter."""
-
-
 class WorkerError(ReproError):
     """A parallel stripe worker failed: its process died (e.g. was
     OOM-killed), it did not answer within the configured timeout, its

@@ -156,7 +156,7 @@ def repair_pixels(
     the vectorized oracles' ``state_snapshot`` hands out live
     references, so an in-place repair would silently rewrite history
     inside checkpoints taken earlier. Models that update in place (the
-    CPU engine, the jit kernels) snapshot copies and re-read
+    CPU engines) snapshot copies and re-read
     ``state.w/m/sd`` after the guard runs, so they see the rebound
     arrays.
     """

@@ -22,11 +22,12 @@ families are registered:
   scene change) — far cheaper per pixel, the serving tier's low-cost
   degrade target.
 
-Three independent backends consume the same spec:
+Two independent emitters consume the same spec:
 
 * :mod:`repro.kernels.build` emits the simulated-GPU DSL kernel;
-* :mod:`repro.cudagen` renders real CUDA C source;
-* :mod:`repro.kernels.jit` renders numba-compilable Python source.
+* :mod:`repro.cudagen` renders real CUDA C source, whose per-pixel
+  fragments :mod:`repro.cpu.native` also compiles into the host loops
+  the cpu backend runs.
 
 Because the spec is data, pass subsets the paper never measured (e.g.
 ``A + predication`` without sort elimination) are one
@@ -99,7 +100,7 @@ class ModelFamily:
     state_planes:
         Semantic role of the three ``(K, N)`` per-pixel state planes.
         Both families use the same physical triple (so layouts,
-        checkpoints and the jit kernel signature are shared); only the
+        checkpoints and the compiled kernel signature are shared); only the
         interpretation differs.
     num_components:
         Fixed per-pixel component count, or ``None`` to use

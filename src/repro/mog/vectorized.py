@@ -9,7 +9,7 @@ registers — which provably cannot change the decision under these
 update equations (:mod:`repro.mog.update`, step 6 note).
 
 This module is the readable oracle every other implementation is
-validated against: the simulated GPU kernels, the jit kernels and the
+validated against: the simulated GPU kernels and the
 CPU engine (:mod:`repro.cpu.engine`), which is what
 :class:`repro.core.subtractor.BackgroundSubtractor` runs for
 ``backend="cpu"`` at levels D-G. The sorted levels A-C still run this

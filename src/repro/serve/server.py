@@ -125,8 +125,7 @@ class StreamServer:
         Defaults for every stream's
         :class:`~repro.core.stream.SurveillancePipeline`.
         ``backend=None`` resolves to ``serve.backend`` when that is
-        set, else ``"cpu"``; ``"jit"`` serves compiled kernels and
-        degrades to ``"cpu"`` (bit-identical masks) without numba.
+        set, else ``"cpu"``; ``"jit"`` is an alias of ``"cpu"``.
         ``model=None`` resolves to ``serve.model`` when that is set,
         else the level's model family (MoG for bare letters); streams
         can override it per-stream via :meth:`add_stream`.

@@ -58,7 +58,7 @@ class TestExperimentFormatting:
         expected = {
             "table1", "table2", "table3", "table4", "fig6", "fig7",
             "fig8", "fig10", "fig11", "fig12", "cpu_baselines",
-            "embedded", "jitter", "fusion", "jit", "models",
+            "embedded", "jitter", "fusion", "models",
         }
         assert set(ALL_EXPERIMENTS) == expected
 
@@ -91,19 +91,6 @@ class TestDynamicExperimentsFastScale:
         exp = camera_jitter_study(fast_ctx)
         rates = [float(r[1].rstrip("%")) for r in exp.rows]
         assert rates[0] <= rates[-1]
-
-    def test_jit_speedup_table(self):
-        from repro.bench.experiments import jit_speedup
-        from repro.kernels.jit import numba_available
-
-        exp = jit_speedup()
-        assert [row[0] for row in exp.rows] == list("ABCDEFG")
-        engines = {row[5] for row in exp.rows}
-        if numba_available():
-            assert engines == {"numba"}
-        else:
-            assert engines == {"cpu fallback"}
-            assert "NOT installed" in exp.notes
 
     def test_fusion_counters(self):
         from repro.bench.experiments import fusion_counters

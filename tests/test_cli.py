@@ -160,19 +160,14 @@ class TestLevels:
     def test_json_backend_availability(self, capsys, monkeypatch):
         import json
 
-        import repro.kernels.jit as jitmod
-        from repro.kernels.jit import NumbaStatus
-
-        monkeypatch.setattr(
-            jitmod, "_NUMBA_STATUS", NumbaStatus(False, "forced off")
-        )
+        monkeypatch.setenv("PATH", "")
         assert main(["levels", "F", "--json"]) == 0
         (data,) = json.loads(capsys.readouterr().out)
         backends = data["backends"]
         assert backends["cpu"] == {"available": True}
         assert backends["sim"] == {"available": True}
         assert backends["jit"]["available"] is False
-        assert "forced off" in backends["jit"]["reason"]
+        assert "'cc'" in backends["jit"]["reason"]
         assert backends["cuda-text"] == {"available": True}
 
     def test_register_tiling_has_no_cuda_rendering(self, capsys):
@@ -203,17 +198,15 @@ class TestBench:
         assert "frames/s" in out
         assert "warmup" in out
 
-    def test_jit_reports_fallback(self, capsys, monkeypatch, recwarn):
-        import repro.kernels.jit as jitmod
-        from repro.kernels.jit import NumbaStatus
-
-        monkeypatch.setattr(
-            jitmod, "_NUMBA_STATUS", NumbaStatus(False, "forced off")
-        )
+    def test_jit_reports_fallback(
+        self, capsys, monkeypatch, recwarn, tmp_path
+    ):
+        monkeypatch.setenv("PATH", "")
+        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path))
         code = main(["bench", "--backend", "jit", "--frames", "6",
                      "--height", "16", "--width", "20"])
         assert code == 0
-        assert "numba unavailable" in capsys.readouterr().out
+        assert "no compiled kernel" in capsys.readouterr().out
 
     def test_json_payload(self, capsys):
         import json

@@ -304,3 +304,167 @@ class TestSharedScratch:
         assert not any(th.is_alive() for th in threads)
         for want, have in zip(serial, got):
             assert np.array_equal(want, have)
+
+
+def _numpy_twin(engine):
+    """Force ``engine`` onto its NumPy block loop: the oracle the
+    compiled kernel is pinned against."""
+    engine._kernel = None
+    return engine
+
+
+def _assert_same_bits(a, b):
+    """Masks or state planes equal bit for bit (NaN payloads too)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def _assert_same_state_bits(a, b):
+    for name in ("w", "m", "sd"):
+        _assert_same_bits(getattr(a.state, name), getattr(b.state, name))
+
+
+def _engine_pair(cls, shape, params=PARAMS, dtype="double"):
+    compiled = cls(shape, params, dtype=dtype)
+    if not compiled.compiled:
+        pytest.skip("no C compiler: the compiled path did not build")
+    return compiled, _numpy_twin(cls(shape, params, dtype=dtype))
+
+
+def _run_pair(pair, frames):
+    for t, f in enumerate(frames):
+        a, b = (e.apply(f) for e in pair)
+        _assert_same_bits(a, b)
+    _assert_same_state_bits(*pair)
+
+
+class TestCompiledOracle:
+    """The compiled kernels (:mod:`repro.cpu.native`) against the NumPy
+    block loop, bit for bit: masks and the full ``w/m/sd`` state."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    @pytest.mark.parametrize("level", ["D", "E", "F", "G"])
+    def test_mog_levels(self, level, dtype, k):
+        from repro.config import RunConfig
+
+        def make():
+            return BackgroundSubtractor(
+                SHAPE, PARAMS.replace(num_gaussians=k), level=level,
+                backend="cpu",
+                run_config=RunConfig(
+                    height=SHAPE[0], width=SHAPE[1], dtype=dtype
+                ),
+            )
+
+        compiled, oracle = make(), make()
+        if not compiled.compiled:
+            pytest.skip("no C compiler: the compiled path did not build")
+        _numpy_twin(oracle._impl)
+        _run_pair((compiled._impl, oracle._impl), _frames(10))
+
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    def test_dmsg(self, dtype):
+        _run_pair(
+            _engine_pair(DmsgEngine, SHAPE, dtype=dtype), _step_frames(12)
+        )
+
+    @pytest.mark.parametrize("frame_dtype", [np.uint8, np.int16,
+                                             np.float32, np.float64])
+    @pytest.mark.parametrize("cls", [MoGEngine, DmsgEngine])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    def test_frame_dtypes(self, dtype, cls, frame_dtype):
+        frames = [f.astype(frame_dtype) for f in _step_frames(8)]
+        if np.dtype(frame_dtype).kind == "f":
+            frames = [f + frame_dtype(0.375) for f in frames]
+        else:
+            frames = [f - frame_dtype(0) for f in frames]
+        _run_pair(_engine_pair(cls, SHAPE, dtype=dtype), frames)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (96, 256)])
+    @pytest.mark.parametrize("cls", [MoGEngine, DmsgEngine])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    def test_pixel_counts(self, dtype, cls, shape):
+        _run_pair(
+            _engine_pair(cls, shape, dtype=dtype), _step_frames(8, shape)
+        )
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1e300],
+        ids=["nan", "inf", "-inf", "0", "-1", "1e300"],
+    )
+    @pytest.mark.parametrize("cls", [MoGEngine, DmsgEngine])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    def test_poisoned_state(self, dtype, cls, value):
+        """No integrity guard: poisoned planes flow through the update
+        and must do so identically — NaN propagation of min/max, and
+        the virtual component's first-minimum rule when a poisoned
+        weight meets a total miss."""
+        pair = _engine_pair(cls, SHAPE, dtype=dtype)
+        frames = _step_frames(8)
+        for e in pair:
+            e.apply(frames[0])
+        n = pair[0].num_pixels
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in pair:
+                st = e.state
+                st.w[:, 0:n:5] = value
+                st.m[:, 1:n:5] = value
+                st.sd[:, 2:n:5] = value
+                # A poisoned weight where nothing can match.
+                st.w[1, 3:n:5] = value
+                st.m[:, 3:n:5] = 1e30
+                st.w[0, 4:n:5] = value
+            _run_pair(pair, frames[1:])
+
+    @pytest.mark.parametrize("cls", [MoGEngine, DmsgEngine])
+    def test_restore_from_noncontiguous_snapshot(self, cls):
+        frames = _step_frames(10)
+        source = cls(SHAPE, PARAMS)
+        for f in frames[:4]:
+            source.apply(f)
+        w, m, sd, t = source.state_snapshot()
+        snap = (np.asfortranarray(w), m[:, ::-1][:, ::-1], sd, t)
+        assert not snap[0].flags.c_contiguous
+        pair = _engine_pair(cls, SHAPE)
+        for e in pair:
+            e.restore_state(snap)
+        _run_pair(pair, frames[4:])
+        for plane in ("w", "m", "sd"):
+            assert getattr(pair[0].state, plane).flags.c_contiguous
+
+    def test_four_threads(self):
+        """The kernel releases the GIL, so four compiled engines step
+        truly concurrently; each must match its own NumPy run."""
+        shape = (96, 128)
+        scenes = [_frames(10, shape, seed=s) for s in (21, 22, 23, 24)]
+        if not MoGEngine(shape, PARAMS).compiled:
+            pytest.skip("no C compiler: the compiled path did not build")
+        oracles = [_numpy_twin(MoGEngine(shape, PARAMS)) for _ in scenes]
+        serial = [_run(e, fr) for e, fr in zip(oracles, scenes)]
+        engines = [MoGEngine(shape, PARAMS) for _ in scenes]
+        got = [None] * len(scenes)
+        barrier = threading.Barrier(len(scenes), timeout=30)
+
+        def work(i):
+            barrier.wait()
+            got[i] = _run(engines[i], scenes[i])
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(len(scenes))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for want, have in zip(serial, got):
+            assert np.array_equal(want, have)
+        for oracle, engine in zip(oracles, engines):
+            _assert_same_state_bits(oracle, engine)

@@ -3,7 +3,8 @@
 Covers the model-family axis of the kernel IR (registry, per-family
 pass applicability, ``model:`` level expressions), the cross-emitter
 bit-identity pin — gpusim vs the :mod:`repro.dmsg` NumPy oracle vs the
-jit emitter's interpreted engine, both dtypes — and the checkpoint /
+compiled kernel the ``jit`` spelling of the cpu backend runs, both
+dtypes — and the checkpoint /
 serving interop rules (cross-family restore fails typed; per-stream
 model choice on the thread server).
 """
@@ -22,6 +23,7 @@ from repro.core.variants import (
     level_spec_for,
     resolve_level_spec,
 )
+from repro.cpu.native import kernel_fingerprint, render_source
 from repro.dmsg import DmsgVectorized, dmsg_state_from_first_frame
 from repro.errors import CheckpointError, ConfigError
 from repro.kernels.ir import (
@@ -34,8 +36,6 @@ from repro.kernels.ir import (
     resolve_model,
     spec_for_level,
 )
-from repro.kernels.jit import spec_fingerprint
-from repro.mog.jit import MoGJit
 from repro.serve import StreamServer
 from repro.video.scenes import evaluation_scene
 
@@ -53,8 +53,12 @@ def _frames(n, shape=SHAPE, seed=3):
 
 
 def _dmsg_jit(level, dtype="double"):
-    spec = resolve_level_spec(level, model="dmsg").kernel
-    return MoGJit(SHAPE, PARAMS, spec=spec, dtype=dtype, engine="python")
+    """The ``jit`` spelling of the cpu backend: the compiled DMSG
+    kernel (the NumPy block loop without a C compiler)."""
+    return BackgroundSubtractor(
+        SHAPE, PARAMS, level=level, model="dmsg", backend="jit",
+        run_config=RunConfig(height=SHAPE[0], width=SHAPE[1], dtype=dtype),
+    )._impl
 
 
 # ----------------------------------------------------------------------
@@ -99,9 +103,11 @@ class TestModelFamilies:
         assert spec_for_level("B", "dmsg").name == "dmsg_coalesced"
 
     def test_fingerprint_discriminates_families(self):
-        mog = spec_for_level("F")
-        dmsg = spec_for_level("F", "dmsg")
-        assert spec_fingerprint(mog, 4) != spec_fingerprint(dmsg, 2)
+        def fingerprint(family):
+            source = render_source(family, 2, "float64")
+            return kernel_fingerprint(family, 2, "float64", source, "cc")
+
+        assert fingerprint("mog") != fingerprint("dmsg")
 
 
 class TestPassApplicability:

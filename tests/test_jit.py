@@ -1,28 +1,24 @@
-"""The JIT emitter and :class:`MoGJit`: bit-identity oracle vs the cpu
-and sim backends, the compile cache, and checkpoint interop.
+"""The ``jit`` spelling of the cpu backend and the compiled kernels it
+runs (:mod:`repro.cpu.native`): source rendering, fingerprint and disk
+cache, bit identity against the cpu and sim oracles at every level,
+and checkpoint interop.
 
-Everything here runs with ``engine="python"`` (the emitted source
-interpreted), so the *exact* kernel text is exercised even when numba
-is not installed; the numba engine compiles the same text.
+``backend="jit"`` is an alias of ``"cpu"``: MoG levels D-G and every
+DMSG level run C rendered from the :mod:`repro.cudagen` fragments;
+levels A-C run the vectorized oracle.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import IntegrityPolicy, MoGParams
+from repro.config import IntegrityPolicy, MoGParams, RunConfig
 from repro.core.subtractor import BackgroundSubtractor
 from repro.core.variants import resolve_level_spec
+from repro.cpu import native
 from repro.errors import ConfigError
-from repro.kernels.ir import BASE_SPEC
-from repro.kernels.jit import (
-    CONST_ARGS,
-    KernelCache,
-    emit_kernel_source,
-    get_kernel,
-    jit_cache_dir,
-    spec_fingerprint,
-)
-from repro.mog.jit import MoGJit
 from repro.mog.vectorized import MoGVectorized
 from repro.telemetry import MetricsRegistry
 from repro.video.scenes import evaluation_scene
@@ -38,79 +34,106 @@ def _frames(n, shape=SHAPE, seed=3):
     return [video.frame(t) for t in range(n)]
 
 
-def _jit(level, dtype="double", **kw):
-    spec = resolve_level_spec(level).kernel
-    return MoGJit(SHAPE, PARAMS, spec=spec, dtype=dtype,
-                  engine="python", **kw)
+def _jit(level, dtype="double", params=PARAMS, **kw):
+    return BackgroundSubtractor(
+        SHAPE, params, level=level, backend="jit",
+        run_config=RunConfig(height=SHAPE[0], width=SHAPE[1], dtype=dtype),
+        **kw,
+    )
+
+
+@pytest.fixture()
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache and no in-process memo: the next load
+    behaves like the first one in a new process."""
+    monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(native, "_loaded", {})
+    return tmp_path
 
 
 # ----------------------------------------------------------------------
-# Emitter / cache unit tests
+# Source rendering and the compile cache
 # ----------------------------------------------------------------------
 class TestEmitter:
     def test_fingerprint_stable_and_discriminating(self):
-        a = spec_fingerprint(BASE_SPEC, 4)
-        assert a == spec_fingerprint(BASE_SPEC, 4)
-        assert a != spec_fingerprint(BASE_SPEC, 5)
-        spec_f = resolve_level_spec("F").kernel
-        assert a != spec_fingerprint(spec_f, 4)
+        def fp(family="mog", k=3, dtype="float64", compiler="cc 12"):
+            source = native.render_source(family, k, dtype)
+            return native.kernel_fingerprint(
+                family, k, dtype, source, compiler
+            )
+
+        a = fp()
+        assert a == fp()
+        for other in (fp(k=4), fp(dtype="float32"), fp(family="dmsg"),
+                      fp(compiler="cc 13")):
+            assert other != a
 
     def test_layout_axes_do_not_change_fingerprint(self):
-        # Layout/overlap/tiling are GPU residency axes the emitted
-        # per-pixel arithmetic does not depend on.
-        spec_f = resolve_level_spec("F").kernel
-        spec_g = resolve_level_spec("G").kernel
-        assert spec_fingerprint(spec_f, 4) == spec_fingerprint(spec_g, 4)
+        # D-G differ in GPU residency and update style, never in state:
+        # one branchy kernel serves all four.
+        kernels = {id(_jit(level)._impl._kernel) for level in "DEFG"}
+        assert len(kernels) == 1
 
     def test_source_shape(self):
-        src = emit_kernel_source(BASE_SPEC, 3)
-        assert "def kernel(frame, w, m, sd, fg, shadow, classes," in src
-        assert "w2 = w[2, i]" in src and "w3" not in src
-        assert "prange" in src
-        for name in CONST_ARGS:
-            assert name in src
+        src = native.render_source("mog", 3, "float64")
+        assert "typedef double scalar_t;" in src
+        assert "#define NUM_GAUSSIANS 3" in src
+        assert "for (long pix = 0; pix < n; ++pix)" in src
+        assert "repro_update_u8(const unsigned char *frame" in src
+        assert "repro_update_run(const scalar_t *frame" in src
+        assert "g[HOST_IDX(k, P_W, pix)]" in src  # the CUDA fragment
+        assert "ARGMIN_LT(wk, min_w)" in src
+        assert "threadIdx" not in src and "__global__" not in src
+        for i, name in enumerate(native.CONSTANTS):
+            assert f"#define {name} cst[{i}]" in src
+        # Constants arrive pre-cast; no decimal literal to re-round.
+        assert "0.92" not in src and "2.5" not in src
+        assert "typedef float scalar_t;" in native.render_source(
+            "dmsg", 2, "float32"
+        )
 
     def test_k_validation(self):
         for bad in (0, 9):
             with pytest.raises(ConfigError):
-                emit_kernel_source(BASE_SPEC, bad)
+                native.render_source("mog", bad, "float64")
 
     def test_engine_validation(self):
         with pytest.raises(ConfigError):
-            get_kernel(BASE_SPEC, 4, "double", SHAPE, engine="rust")
+            native.render_source("gmm", 3, "float64")
         with pytest.raises(ConfigError):
-            MoGJit(SHAPE, PARAMS, engine="rust")
+            native.render_source("mog", 3, "int32")
 
-    def test_cache_hit_costs_nothing(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path))
-        cache = KernelCache()
-        first = cache.get(BASE_SPEC, 4, "double", SHAPE, engine="python")
-        assert len(cache) == 1
-        assert first.source_path.exists()
-        assert first.source_path.parent == jit_cache_dir()
-        again = cache.get(BASE_SPEC, 4, "double", SHAPE, engine="python")
-        assert again.compile_s == 0.0
-        assert again.fn is first.fn
-        # A new shape reuses the dispatcher but gets its own entry.
-        other = cache.get(BASE_SPEC, 4, "double", (4, 4), engine="python")
-        assert other.fn is first.fn
-        assert len(cache) == 2
-        cache.clear()
-        assert len(cache) == 0
+    def test_cache_hit_costs_nothing(self, fresh_cache, monkeypatch):
+        if not native.compiler_status()[0]:
+            pytest.skip("no C compiler on PATH")
+        kernel, cold = native.load_kernel("mog", 2, "float64")
+        assert kernel is not None and cold > 0.0
+        (so,) = fresh_cache.glob("*.so")
+        again, warm = native.load_kernel("mog", 2, "float64")
+        assert again is kernel and warm == 0.0
+        # A new process (empty memo) loads the published file.
+        monkeypatch.setattr(native, "_loaded", {})
+        reloaded, warm = native.load_kernel("mog", 2, "float64")
+        assert reloaded is not None and warm == 0.0
+        assert list(fresh_cache.glob("*.so")) == [so]
 
     def test_source_file_not_rewritten_when_identical(
-        self, tmp_path, monkeypatch
+        self, fresh_cache, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", str(tmp_path))
-        cache = KernelCache()
-        entry = cache.get(BASE_SPEC, 4, "double", SHAPE, engine="python")
-        mtime = entry.source_path.stat().st_mtime_ns
-        KernelCache().get(BASE_SPEC, 4, "float", SHAPE, engine="python")
-        assert entry.source_path.stat().st_mtime_ns == mtime
+        if not native.compiler_status()[0]:
+            pytest.skip("no C compiler on PATH")
+        native.load_kernel("dmsg", 2, "float32")
+        (so,) = fresh_cache.glob("*.so")
+        mtime = so.stat().st_mtime_ns
+        monkeypatch.setattr(native, "_loaded", {})
+        native.load_kernel("dmsg", 2, "float32")
+        native.load_kernel("dmsg", 2, "float64")  # its own file
+        assert so.stat().st_mtime_ns == mtime
+        assert len(list(fresh_cache.glob("*.so"))) == 2
 
 
 # ----------------------------------------------------------------------
-# Bit-identity oracle vs the cpu backend
+# Bit-identity oracle vs the cpu and sim backends
 # ----------------------------------------------------------------------
 class TestOracle:
     @pytest.mark.parametrize("level", LEVELS)
@@ -125,14 +148,12 @@ class TestOracle:
             assert np.array_equal(jit.apply(frame), cpu.apply(frame)), level
         for name in ("w", "m", "sd"):
             assert np.array_equal(
-                getattr(jit.state, name), getattr(cpu.state, name)
+                getattr(jit._impl.state, name), getattr(cpu.state, name)
             ), (level, dtype, name)
 
     @pytest.mark.parametrize("level", ["F+fusion", "A+fusion"])
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_fused_outputs_match_cpu(self, level, dtype):
-        from repro.config import RunConfig
-
         frames = _frames(7)
         jit = _jit(level, dtype)
         cpu = BackgroundSubtractor(
@@ -141,10 +162,12 @@ class TestOracle:
                 height=SHAPE[0], width=SHAPE[1], dtype=dtype
             ),
         )
+        # The reference runs the NumPy block loop (or the oracle at A).
+        cpu._impl._kernel = None
         for frame in frames:
             assert np.array_equal(jit.apply(frame), cpu.apply(frame))
-        assert np.array_equal(jit.last_shadow != 0, cpu.shadow_map())
-        assert np.array_equal(jit.last_classes, cpu.class_map())
+            assert np.array_equal(jit.shadow_map(), cpu.shadow_map())
+            assert np.array_equal(jit.class_map(), cpu.class_map())
 
     def test_masks_match_sim(self):
         frames = _frames(6)
@@ -157,7 +180,8 @@ class TestOracle:
         frames = _frames(6)
         jit = _jit("F")
         cpu = MoGVectorized(SHAPE, PARAMS, variant="regopt")
-        jit.apply_sequence(frames)
+        for frame in frames:
+            jit.apply(frame)
         cpu.apply_sequence(frames)
         assert np.array_equal(jit.background_image(), cpu.background_image())
 
@@ -165,16 +189,19 @@ class TestOracle:
         frames = _frames(5)
         for k in (1, 2, 5):
             params = PARAMS.replace(num_gaussians=k)
-            jit = MoGJit(SHAPE, params, engine="python")
+            jit = _jit("F", params=params)
             cpu = MoGVectorized(SHAPE, params, variant="sorted")
             for frame in frames:
                 assert np.array_equal(jit.apply(frame), cpu.apply(frame)), k
 
 
 # ----------------------------------------------------------------------
-# Model behaviour
+# The compiled model behind the jit spelling
 # ----------------------------------------------------------------------
 class TestMoGJit:
+    """The compiled engine behind the ``jit`` spelling: masks, snapshots,
+    restore, integrity repair and frame validation."""
+
     def test_returned_mask_is_not_a_live_buffer(self):
         frames = _frames(3)
         jit = _jit("F")
@@ -205,8 +232,8 @@ class TestMoGJit:
         assert all(np.array_equal(x, y) for x, y in zip(tail_a, tail_b))
 
     def test_cross_backend_snapshot_interop(self):
-        # cpu -> jit and jit -> cpu: the snapshot tuple is the same
-        # format, so checkpoints interoperate across backends.
+        # oracle -> compiled and back: one snapshot format, so
+        # checkpoints interoperate across backends.
         frames = _frames(8)
         cpu = MoGVectorized(SHAPE, PARAMS, variant="regopt")
         for f in frames[:4]:
@@ -217,13 +244,13 @@ class TestMoGJit:
             assert np.array_equal(jit.apply(f), cpu.apply(f))
         cpu2 = MoGVectorized(SHAPE, PARAMS, variant="regopt")
         cpu2.restore_state(jit.state_snapshot())
-        assert np.array_equal(cpu2.state.w, jit.state.w)
+        assert np.array_equal(cpu2.state.w, jit._impl.state.w)
 
     def test_restore_none_resets(self):
         jit = _jit("F")
         jit.apply(_frames(1)[0])
         jit.restore_state(None)
-        assert jit.state is None and jit.frames_processed == 0
+        assert jit._impl.state is None and jit._impl.frames_processed == 0
 
     def test_restore_rejects_wrong_shape(self):
         jit = _jit("F")
@@ -239,10 +266,10 @@ class TestMoGJit:
                             integrity=policy)
         for i, frame in enumerate(frames):
             if i == 3:  # corrupt both models identically mid-stream
-                jit.state.sd[0, 5] = np.nan
+                jit._impl.state.sd[0, 5] = np.nan
                 cpu.state.sd[0, 5] = np.nan
             assert np.array_equal(jit.apply(frame), cpu.apply(frame)), i
-        assert np.array_equal(jit.state.sd, cpu.state.sd)
+        assert np.array_equal(jit._impl.state.sd, cpu.state.sd)
 
     def test_frame_validation(self):
         jit = _jit("F")
@@ -253,17 +280,18 @@ class TestMoGJit:
         with pytest.raises(ConfigError):
             jit.apply(np.zeros(SHAPE, dtype=complex))
         with pytest.raises(ConfigError):
-            jit.apply_sequence([])
+            jit.process([])
 
     def test_telemetry_counters(self):
         tel = MetricsRegistry()
-        jit = MoGJit(SHAPE, PARAMS, engine="python", telemetry=tel)
+        jit = _jit("F", telemetry=tel)
         for f in _frames(3):
             jit.apply(f)
         snap = tel.snapshot()
-        assert snap["counters"]["jit.frames"] == 3
-        assert "jit.compile_s" in snap["gauges"]
-        assert snap["gauges"]["jit.kernels_cached"] >= 1
+        assert snap["gauges"]["jit.compile_s"] == jit.compile_s
+        assert snap["counters"].get("jit.fallbacks", 0) == (
+            0 if jit.compiled else 1
+        )
 
 
 # ----------------------------------------------------------------------
@@ -280,26 +308,109 @@ class TestCheckpointInterop:
         for f in frames[:5]:
             a.step(f)
         a.save_checkpoint(ckpt)
-        # backend="jit" degrades to cpu here when numba is absent; the
-        # restore path is backend-agnostic either way.
-        with (
-            _nullcontext() if _numba()
-            else pytest.warns(RuntimeWarning)
-        ):
-            b = SurveillancePipeline((16, 20), PARAMS, backend="jit",
-                                     warmup_frames=2)
+        b = SurveillancePipeline((16, 20), PARAMS, backend="jit",
+                                 warmup_frames=2)
         assert b.restore_checkpoint(ckpt) == 4
         for f, r in zip(frames[5:], [a.step(x) for x in frames[5:]]):
             assert np.array_equal(b.step(f).mask, r.mask)
 
 
-def _numba() -> bool:
-    from repro.kernels.jit import numba_available
+def test_cache_dir_is_private_by_default(monkeypatch, tmp_path):
+    import tempfile
 
-    return numba_available()
+    monkeypatch.delenv("REPRO_JIT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    path = native.jit_cache_dir()
+    assert path.parent == tmp_path
+    st = path.stat()
+    assert st.st_uid == os.getuid()
+    assert st.st_mode & 0o077 == 0
 
 
-def _nullcontext():
-    import contextlib
+_LOADER = """
+import numpy as np
+from repro.cpu.engine import MoGEngine
+e = MoGEngine((6, 7))
+assert e.compiled
+f = np.arange(42, dtype=np.uint8).reshape(6, 7)
+print(e.compile_s, int(e.apply(f).sum()), int(e.apply(f[::-1]).sum()))
+"""
 
-    return contextlib.nullcontext()
+
+def _spawn_loader():
+    """A fresh process that loads the K=3 double MoG kernel from the
+    cache ``REPRO_JIT_CACHE_DIR`` names."""
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.Popen(
+        [sys.executable, "-c", _LOADER],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _finish(proc):
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    compile_s, *sums = out.split()
+    return float(compile_s), *map(int, sums)
+
+
+def _overwrite(path, data):
+    """Replace ``path`` with a new file: writing into a library this
+    process has mapped would crash it, not test the loader."""
+    tmp = path.with_name(path.name + ".new")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
+class TestPrivateCache:
+    """The cache holds code this process will ``dlopen``: it must be
+    safe against concurrent builders, damaged files and directories
+    other users can write to."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_cc(self):
+        if not native.compiler_status()[0]:
+            pytest.skip("no C compiler on PATH")
+
+    def test_concurrent_processes_share_one_fingerprint(self, fresh_cache):
+        procs = [_spawn_loader() for _ in range(2)]
+        outs = [_finish(p) for p in procs]
+        assert outs[0][1:] == outs[1][1:]  # the same masks
+        assert len(list(fresh_cache.glob("*.so"))) == 1
+        assert not list(fresh_cache.glob(".*"))  # no temp file left
+
+    def test_truncated_library_is_rebuilt(self, fresh_cache):
+        assert _finish(_spawn_loader())[0] > 0.0  # cold build
+        (so,) = fresh_cache.glob("*.so")
+        _overwrite(so, so.read_bytes()[:100])
+        assert _finish(_spawn_loader())[0] > 0.0  # rebuilt, not crashed
+        assert so.stat().st_size > 100
+        assert _finish(_spawn_loader())[0] == 0.0  # warm again
+
+    def test_world_writable_cache_is_never_loaded_from(
+        self, fresh_cache, monkeypatch
+    ):
+        native.load_kernel("dmsg", 2, "float64")
+        (so,) = fresh_cache.glob("*.so")
+        _overwrite(so, b"not a library")  # would fail to load if used
+        fresh_cache.chmod(0o777)
+        try:
+            monkeypatch.setattr(native, "_loaded", {})
+            opened = []
+            real_open = native._open
+            monkeypatch.setattr(
+                native, "_open",
+                lambda path, *a: opened.append(path) or real_open(path, *a),
+            )
+            kernel, compile_s = native.load_kernel("dmsg", 2, "float64")
+        finally:
+            fresh_cache.chmod(0o700)
+        assert kernel is not None and compile_s > 0.0
+        assert opened and all(p.parent != fresh_cache for p in opened)
+        assert so.read_bytes() == b"not a library"  # left untouched

@@ -45,24 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         f"integrity-guard (ECC-on) overhead: {plain / guarded:.2f}x "
         f"({plain:.0f} -> {guarded:.0f} frames/s)"
     )
-    jit = entries["jit"]
-    if jit.get("numba"):
-        ratio = jit["frames_per_s"] / plain
-        hd_ratio = (
-            entries["jit_fullhd"]["frames_per_s"]
-            / entries["cpu_fullhd"]["frames_per_s"]
-        )
-        print(
-            f"jit speedup over cpu: {ratio:.2f}x at "
-            f"{jit['frame_shape'][0]}x{jit['frame_shape'][1]}, "
-            f"{hd_ratio:.2f}x at full HD "
-            f"(compile {jit['compile_s']:.2f}s, excluded from timing)"
-        )
-    else:
-        print(
-            "jit entries measured the cpu fallback (numba unavailable); "
-            "marked \"numba\": false in the snapshot"
-        )
     return 0
 
 
