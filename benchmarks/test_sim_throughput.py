@@ -67,8 +67,8 @@ def test_scalar_reference_throughput(benchmark):
 def test_two_tier_speedup(benchmark):
     """Sampled profiling (profile_every=8) must deliver >= 2x the
     frames/s of full profiling on the sim path, with bit-identical
-    masks; both rates land in BENCH_throughput.json."""
-    from repro.bench.snapshot import measure_fps, update_snapshot
+    masks."""
+    from repro.bench.harness import measure_fps
 
     num_frames = 9 if QUICK else 17
 
@@ -88,7 +88,6 @@ def test_two_tier_speedup(benchmark):
         return best
 
     speedup, profiled, sampled = benchmark.pedantic(run, rounds=1, iterations=1)
-    update_snapshot({"sim_profiled": profiled, "sim_sampled_8": sampled})
     assert speedup >= 2.0, (
         f"expected >= 2x from sampled profiling, got {speedup:.2f}x "
         f"({profiled['frames_per_s']} -> {sampled['frames_per_s']} frames/s)"
@@ -104,68 +103,10 @@ def test_two_tier_speedup(benchmark):
     assert np.array_equal(a, b)
 
 
-def test_sharded_beats_thread_server(benchmark):
-    """The process-sharded serving tier must out-serve the worker-thread
-    pool on the same workload (>= 4 streams). Capacity is measured
-    under equal offered load: each pair floods both tiers with the
-    same streams and frames, thread then sharded back to back so
-    machine drift hits both, and the claim is on the median of the
-    per-pair ratios — one noisy neighbour moves one pair, not the
-    verdict. The median pair's sharded measurement lands in
-    BENCH_throughput.json."""
-    import statistics
-
-    from repro.bench.snapshot import (
-        measure_server_fps,
-        measure_sharded_fps,
-        update_snapshot,
-    )
-
-    num_streams = 8 if QUICK else 64
-    # Enough frames per stream that the timed flood, not the clock
-    # resolution or one scheduling hiccup, sets the rate.
-    num_frames = 17
-    num_pairs = 5
-
-    def run():
-        pairs = []
-        for _ in range(num_pairs):
-            thread = measure_server_fps(
-                num_streams=num_streams, num_frames=num_frames
-            )
-            shard = measure_sharded_fps(
-                num_streams=num_streams, num_frames=num_frames,
-                attempts=1,
-            )
-            pairs.append(
-                (shard["frames_per_s"] / thread["frames_per_s"], thread,
-                 shard)
-            )
-        pairs.sort(key=lambda p: p[0])
-        return statistics.median(p[0] for p in pairs), pairs
-
-    ratio, pairs = benchmark.pedantic(run, rounds=1, iterations=1)
-    _, thread, shard = pairs[len(pairs) // 2]
-    if not QUICK:
-        update_snapshot({"server_sharded_64streams": shard})
-    assert ratio > 1.0, (
-        f"sharded tier did not beat the thread server at {num_streams} "
-        f"streams: median sharded/thread capacity ratio {ratio:.2f} over "
-        f"{num_pairs} pairs ("
-        + ", ".join(
-            f"{s['frames_per_s']:.0f}/{t['frames_per_s']:.0f}"
-            for _, t, s in pairs
-        )
-        + " frames/s)"
-    )
-
-
 def test_fusion_transaction_reduction(benchmark):
     """The fusion pass must strictly cut global-memory traffic vs the
     standalone post-kernel chain, eliminating at least one full frame
-    of uint8 read+write (2 bytes/pixel) per fused stage; the fused
-    sim throughput lands in BENCH_throughput.json as ``sim_fused``."""
-    from repro.bench.snapshot import measure_fps, update_snapshot
+    of uint8 read+write (2 bytes/pixel) per fused stage."""
     from repro.config import RunConfig
     from repro.core.pipeline import HostPipeline
     from repro.core.variants import OptimizationLevel, custom_level
@@ -214,13 +155,6 @@ def test_fusion_transaction_reduction(benchmark):
             f"expected >= {frame_rw_bytes}"
         )
         prev_delta = delta
-
-    update_snapshot({
-        "sim_fused": measure_fps(
-            "sim", profile_every=8,
-            num_frames=9 if QUICK else 17, level="F+fusion",
-        ),
-    })
 
 
 def test_native_speedup(benchmark):
@@ -272,15 +206,66 @@ def test_native_speedup(benchmark):
         )
 
 
+def test_integrity_guard_cheaper_than_model(benchmark):
+    """The mixture-state integrity guard must cost less than the
+    compiled model update it guards (the serving benchmarks run
+    ``IntegrityPolicy(mode="repair")`` on every frame): one check of a
+    clean, converged 120x160 float64 state against one engine update,
+    median of 7 alternating runs, for MoG level F and for DMSG."""
+    import statistics
+    import time
+
+    from repro.config import IntegrityPolicy
+    from repro.faults import find_corrupt_pixels
+
+    frames = _frames(40)
+    policy = IntegrityPolicy(mode="repair")
+
+    def run():
+        out = {}
+        for model in ("mog", "dmsg"):
+            bs = BackgroundSubtractor(
+                SHAPE, params=PAPER_BENCH_PARAMS, level="F", model=model,
+                backend="cpu",
+            )
+            assert bs.compiled, "no C compiler: the kernels did not build"
+            engine = bs._impl
+            for f in frames[:30]:
+                engine.apply(f)
+            guard_s, update_s = [], []
+            for _ in range(7):
+                start = time.perf_counter()
+                for f in frames[30:]:
+                    engine.apply(f)
+                update_s.append((time.perf_counter() - start) / 10)
+                start = time.perf_counter()
+                for _ in range(10):
+                    report = find_corrupt_pixels(
+                        engine.state, PAPER_BENCH_PARAMS, policy, model=model
+                    )
+                guard_s.append((time.perf_counter() - start) / 10)
+            assert report.clean
+            out[model] = (
+                statistics.median(guard_s), statistics.median(update_s)
+            )
+        return out
+
+    times = benchmark.pedantic(run, rounds=1, iterations=1)
+    for model, (guard_s, update_s) in times.items():
+        assert guard_s < update_s, (
+            f"{model}: integrity check {guard_s * 1e3:.3f} ms vs model "
+            f"update {update_s * 1e3:.3f} ms at {SHAPE}"
+        )
+
+
 def test_dmsg_beats_mog_cpu(benchmark):
     """The dual-mode single Gaussian family must out-run MoG at the
     same level on the cpu backend: it carries two modes per pixel
     (background + candidate) instead of K sorted Gaussians, so the
     per-frame arithmetic and memory traffic are strictly smaller.
     Paired rounds (mog then dmsg back to back, best of three) defend
-    against CI neighbours, as in test_two_tier_speedup; the winning
-    pair lands in BENCH_throughput.json."""
-    from repro.bench.snapshot import measure_fps, update_snapshot
+    against CI neighbours, as in test_two_tier_speedup."""
+    from repro.bench.harness import measure_fps
 
     num_frames = 17 if QUICK else 65
 
@@ -298,7 +283,6 @@ def test_dmsg_beats_mog_cpu(benchmark):
 
     ratio, mog, dmsg = benchmark.pedantic(run, rounds=1, iterations=1)
     assert dmsg["model"] == "dmsg" and mog["model"] == "mog"
-    update_snapshot({"cpu": mog, "dmsg": dmsg})
     assert ratio > 1.0, (
         f"dmsg ({dmsg['frames_per_s']} frames/s) not faster than mog "
         f"({mog['frames_per_s']} frames/s) on cpu at {SHAPE}"

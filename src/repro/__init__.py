@@ -12,8 +12,9 @@ The package bundles:
   (:mod:`repro.kernels`, :mod:`repro.core`),
 * synthetic video workloads with ground truth (:mod:`repro.video`),
 * SSIM / MS-SSIM quality metrics (:mod:`repro.metrics`),
-* CPU baseline models and a process-parallel CPU implementation
-  (:mod:`repro.cpu`, :mod:`repro.parallel`),
+* CPU baseline models and the compiled CPU engines (:mod:`repro.cpu`),
+* single-stream, thread-pool and sharded serving tiers
+  (:mod:`repro.core.stream`, :mod:`repro.serve`),
 * the experiment harness regenerating every table and figure of the
   paper's evaluation (:mod:`repro.bench`).
 

@@ -11,6 +11,7 @@ as a known deviation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from ..config import FULL_HD, PAPER_NUM_FRAMES, MoGParams, RunConfig
 from ..core.pipeline import HostPipeline
 from ..core.results import RunReport
+from ..core.subtractor import BackgroundSubtractor
 from ..core.variants import LevelSpec, OptimizationLevel, resolve_level_spec
 from ..cpu.model import CpuMode, CpuTimeModel
 from ..errors import ConfigError
@@ -194,3 +196,83 @@ def run_level(
         cpu_time=cpu_time,
         speedup=cpu_time / total,
     )
+
+
+def measure_fps(
+    backend: str,
+    profile_every: int = 1,
+    num_frames: int = 17,
+    level: str = "F",
+    shape=BENCH_SHAPE,
+    integrity=None,
+    warmup_frames: int | None = None,
+    dtype: str = "double",
+    model: str | None = None,
+) -> dict:
+    """Measure wall-clock frames/s of one configuration (``repro bench``).
+
+    ``warmup_frames`` (default 1) leading frames of the evaluation
+    scene are processed before the timed window opens, so model
+    initialisation never pollutes the steady-state rate. The result
+    records the excluded time as ``warmup_s``, the kernel compilation
+    at construction as ``compile_s`` and, for the cpu backend, whether
+    the model ran as a compiled kernel as ``compiled``. ``integrity`` is an
+    optional :class:`~repro.config.IntegrityPolicy` enabling the
+    mixture-state guard; ``model`` picks the background-model family
+    (default MoG).
+    """
+    if warmup_frames is None:
+        warmup_frames = 1
+    if not 0 < warmup_frames < num_frames:
+        raise ConfigError(
+            f"need 0 < warmup_frames < num_frames, got "
+            f"{warmup_frames} / {num_frames}"
+        )
+    from ..video.scenes import evaluation_scene
+
+    video = evaluation_scene(height=shape[0], width=shape[1])
+    frames = [video.frame(t) for t in range(num_frames)]
+    bs = BackgroundSubtractor(
+        shape,
+        params=PAPER_BENCH_PARAMS,
+        level=level,
+        backend=backend,
+        run_config=RunConfig(height=shape[0], width=shape[1], dtype=dtype),
+        profile_every=profile_every if backend == "sim" else None,
+        integrity=integrity,
+        model=model,
+    )
+    warm_start = time.perf_counter()
+    for frame in frames[:warmup_frames]:
+        bs.apply(frame)
+    warmup_s = time.perf_counter() - warm_start
+    start = time.perf_counter()
+    for frame in frames[warmup_frames:]:
+        bs.apply(frame)
+    elapsed = time.perf_counter() - start
+    timed = len(frames) - warmup_frames
+    integrity_mode = integrity.mode if integrity is not None else "off"
+    tier = (
+        backend if backend in ("cpu", "jit")
+        else "profiled" if profile_every == 1
+        else f"sampled_1_in_{profile_every}"
+    )
+    if integrity_mode != "off":
+        tier += f"_integrity_{integrity_mode}"
+    entry = {
+        "backend": backend,
+        "level": level,
+        "model": bs.model.name,
+        "tier": tier,
+        "profile_every": profile_every if backend == "sim" else None,
+        "integrity": integrity_mode,
+        "frames_per_s": round(timed / elapsed, 2),
+        "frames_timed": timed,
+        "frame_shape": list(shape),
+        "warmup_frames": warmup_frames,
+        "warmup_s": round(warmup_s, 4),
+        "compile_s": round(getattr(bs, "compile_s", 0.0), 4),
+    }
+    if bs.active_backend == "cpu":
+        entry["compiled"] = bs.compiled
+    return entry

@@ -307,12 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--frames", type=int, default=33,
                     help="timed frames (after warmup)")
     bn.add_argument("--warmup", type=int, default=None, metavar="N",
-                    help="warmup frames excluded from timing (default: "
-                    "backend-specific; covers JIT compilation)")
+                    help="warmup frames excluded from timing (default 1)")
     bn.add_argument("--dtype", choices=("double", "float"),
                     default="double")
     bn.add_argument("--json", action="store_true",
-                    help="emit the snapshot-format entry as JSON")
+                    help="emit the measurement as JSON")
     return parser
 
 
@@ -816,7 +815,7 @@ def _cmd_experiments(args) -> int:
 def _cmd_bench(args) -> int:
     import json
 
-    from .bench.snapshot import measure_fps
+    from .bench.harness import measure_fps
 
     entry = measure_fps(
         args.backend,

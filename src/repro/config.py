@@ -294,50 +294,31 @@ class RunConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-#: Fault policies for the process-parallel path.
-FAULT_POLICIES = ("fail", "restart", "serial_fallback")
+#: Fault policies for the serving tiers.
+FAULT_POLICIES = ("fail", "restart")
 #: Stage-error policies for the streaming pipeline.
 STAGE_ERROR_POLICIES = ("raise", "degrade")
 
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """How the serving path reacts to worker and stage failures.
+    """How the serving path reacts to stream and stage failures.
 
     Attributes
     ----------
     policy:
-        What :class:`~repro.parallel.ParallelMoG` does when a stripe
-        worker dies, hangs past ``timeout_s``, or raises:
+        What :class:`~repro.serve.StreamServer` does when a stream's
+        pipeline raises, and what :class:`~repro.serve.ShardedStreamServer`
+        does with the streams of a shard that died:
 
-        * ``"fail"`` (default) — raise a typed
-          :class:`~repro.errors.WorkerError` naming the stripe;
-        * ``"restart"`` — spawn a replacement worker (restoring the
-          stripe's last checkpointed mixture state when
-          ``checkpoint=True``) and re-submit the stripe, up to
-          ``max_restarts`` times per stripe;
-        * ``"serial_fallback"`` — degrade the stripe to an in-process
-          :class:`~repro.mog.MoGVectorized` for the rest of the run.
-    timeout_s:
-        Upper bound on waiting for any single stripe result. This is
-        what turns a dead worker from an infinite hang into a handled
-        fault.
-    probe_timeout_s:
-        Upper bound on the startup handshake of each worker, so an
-        initializer failure surfaces at construction instead of as an
-        opaque hang on the first frame.
-    shutdown_timeout_s:
-        Grace period for workers to drain and exit on ``close()``
-        before escalating to a hard ``terminate()``.
+        * ``"fail"`` (default) — mark the stream failed; its submits
+          then raise a typed :class:`~repro.errors.WorkerError`;
+        * ``"restart"`` — rebuild the stream's pipeline (or re-admit it
+          on a surviving shard) and carry on, up to ``max_restarts``
+          times per stream.
     max_restarts:
-        Per-stripe restart budget under ``policy="restart"``; once
-        exhausted the fault is raised as a ``WorkerError``.
-    checkpoint:
-        Ship the stripe's mixture state back with every result so a
-        restarted (or fallen-back) stripe resumes exactly where the
-        dead worker left off, keeping masks identical to the serial
-        implementation. Costs one extra state copy per stripe per
-        frame; only active when ``policy`` is not ``"fail"``.
+        Per-stream restart budget under ``policy="restart"``; once
+        exhausted the stream fails.
     stage_error:
         What :class:`~repro.core.stream.SurveillancePipeline` does when
         a stage raises mid-step: ``"raise"`` re-raises (leaving the
@@ -346,11 +327,7 @@ class FaultPolicy:
     """
 
     policy: str = "fail"
-    timeout_s: float = 30.0
-    probe_timeout_s: float = 10.0
-    shutdown_timeout_s: float = 5.0
     max_restarts: int = 3
-    checkpoint: bool = True
     stage_error: str = "raise"
 
     def __post_init__(self) -> None:
@@ -363,20 +340,10 @@ class FaultPolicy:
                 "stage_error must be one of "
                 f"{STAGE_ERROR_POLICIES}, got {self.stage_error!r}"
             )
-        for name in ("timeout_s", "probe_timeout_s", "shutdown_timeout_s"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
         if self.max_restarts < 0:
             raise ConfigError(
                 f"max_restarts must be non-negative, got {self.max_restarts}"
             )
-
-    @property
-    def wants_checkpoint(self) -> bool:
-        """Whether results should carry state back (no overhead under
-        ``"fail"``, where the state would never be used)."""
-        return self.checkpoint and self.policy != "fail"
 
     def replace(self, **kwargs) -> "FaultPolicy":
         """Return a copy with the given fields replaced."""
@@ -534,10 +501,12 @@ class IntegrityPolicy:
     sd_cap:
         Upper plausibility bound on standard deviations (the update
         equations keep sd near the data scale; an exponent-bit flip
-        lands decades above it).
+        lands decades above it). May be ``inf``: non-finite values are
+        flagged regardless of the caps.
     mean_cap:
         Upper plausibility bound on ``|mean|`` (init spreads unclaimed
         components down to ``-1000*(K-1)``; keep the cap well above).
+        May be ``inf``.
     """
 
     mode: str = "detect"
@@ -640,8 +609,10 @@ class ControllerConfig:
         the scenario is deemed intolerant.
     quality_matrix:
         Path to ``QUALITY_MATRIX.json``; ``None`` auto-locates the
-        committed matrix next to the bench snapshot. A missing or
-        unreadable matrix conservatively disables model switches.
+        committed matrix (``REPRO_BENCH_DIR``, else the repo checkout,
+        see :func:`~repro.serve.controller.load_quality_matrix`). A
+        missing or unreadable matrix conservatively disables model
+        switches.
     guard_relax:
         Multiplier applied to ``check_every``/``profile_every`` on the
         guard-relax rung (0 or 1 disables the rung). Integrity signals

@@ -97,18 +97,7 @@ class InjectedFault(ReproError):
 
 
 class WorkerError(ReproError):
-    """A parallel stripe worker failed: its process died (e.g. was
-    OOM-killed), it did not answer within the configured timeout, its
-    initializer raised at startup, or it raised while processing a
-    stripe and the fault policy chose to surface the failure.
-
-    Attributes
-    ----------
-    stripe:
-        Index of the stripe whose worker failed, or ``None`` when the
-        failure is not attributable to a single stripe.
-    """
-
-    def __init__(self, message: str, stripe: int | None = None) -> None:
-        super().__init__(message)
-        self.stripe = stripe
+    """A serving worker failed: a stream's pipeline raised and the
+    fault policy marked the stream failed, a shard process died or did
+    not answer within its timeout, or no shard is left to place a
+    stream on."""

@@ -22,7 +22,7 @@ from .checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from .injector import FaultInjector, FaultyPipeline, kill_stripe
+from .injector import FaultInjector, FaultyPipeline
 from .integrity import (
     IntegrityGuard,
     IntegrityReport,
@@ -38,7 +38,6 @@ __all__ = [
     "IntegrityGuard",
     "IntegrityReport",
     "find_corrupt_pixels",
-    "kill_stripe",
     "read_checkpoint",
     "repair_pixels",
     "write_checkpoint",

@@ -22,16 +22,10 @@ viewing the victim element's bytes as an unsigned integer and XOR-ing a
 randomly chosen bit — the same physical model ECC SECDED is built
 against, which is what makes the ``ecc="on"`` semantics (single-bit
 corrected, multi-bit uncorrectable) faithful.
-
-This module also hosts :func:`kill_stripe`, previously an ad-hoc helper
-inside ``tests/test_parallel_faults.py`` — the process-level "hard"
-fault that complements the memory-level soft ones.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 
 import numpy as np
@@ -40,7 +34,7 @@ from ..config import FaultPlan
 from ..errors import InjectedFault, IntegrityError
 from ..utils.rng import rng_from_seed
 
-__all__ = ["FaultInjector", "FaultyPipeline", "kill_stripe"]
+__all__ = ["FaultInjector", "FaultyPipeline"]
 
 #: uint view type per element size, for bit-level corruption.
 _UINT_FOR_ITEMSIZE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
@@ -223,21 +217,3 @@ class FaultyPipeline:
     def step(self, frame):
         self._injector.before_step(self._pipeline.frame_index + 1)
         return self._pipeline.step(frame)
-
-
-def kill_stripe(par, stripe: int, timeout_s: float = 10.0) -> None:
-    """SIGKILL a :class:`~repro.parallel.ParallelMoG` stripe worker and
-    wait until the process is actually dead, so the next ``apply()``
-    deterministically sees a dead worker (the kill is asynchronous).
-
-    The process-level "hard" fault of the chaos suite; raises
-    :class:`TimeoutError` if the worker does not die within
-    ``timeout_s``.
-    """
-    pid = par.worker_pids()[stripe]
-    os.kill(pid, signal.SIGKILL)
-    deadline = time.monotonic() + timeout_s
-    while par._workers[stripe]._proc.is_alive():
-        if time.monotonic() >= deadline:
-            raise TimeoutError(f"stripe {stripe} worker did not die")
-        time.sleep(0.01)

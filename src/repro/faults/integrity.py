@@ -92,51 +92,83 @@ def find_corrupt_pixels(
     model: str = "mog",
 ) -> IntegrityReport:
     """Check every invariant; returns an :class:`IntegrityReport` with
-    the flat pixel indices that violate at least one of them."""
+    the flat pixel indices that violate at least one of them.
+
+    Each bound is one "inside the range" test on the per-pixel
+    min/max/sum of a plane. NaN compares false and the caps are clamped
+    to the dtype's largest finite value, so ``±inf`` fails too: the
+    same pass catches non-finite values. The per-invariant breakdown
+    is only computed for flagged pixels.
+    """
     if model not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
     w, m, sd = state.w, state.m, state.sd
     tol = policy.weight_tol
-    k = state.num_gaussians
-
-    finite = np.isfinite(w) & np.isfinite(m) & np.isfinite(sd)
-    bad_finite = ~finite.all(axis=0)
-
-    # Non-finite values would poison the bound comparisons below
-    # (NaN compares false everywhere), so evaluate bounds on a
-    # finite-masked view: a pixel with a NaN weight is already flagged
-    # by ``bad_finite`` and must not *mask* a bound violation in its
-    # other, finite components.
-    w_f = np.where(np.isfinite(w), w, 0.0)
-    sd_f = np.where(np.isfinite(sd), sd, 1.0)
-    m_f = np.where(np.isfinite(m), m, 0.0)
-
-    if model == "dmsg":
-        # The weight plane holds mode ages: non-negative, capped at
-        # DMSG_AGE_CAP, and the background mode keeps age >= 1 so the
-        # per-pixel sum stays positive.
-        bad_w = ((w_f < -tol) | (w_f > DMSG_AGE_CAP + tol)).any(axis=0)
-        bad_w |= w_f.sum(axis=0) <= 0.0
-    else:
-        bad_w = ((w_f < -tol) | (w_f > 1.0 + tol)).any(axis=0)
-        w_sum = w_f.sum(axis=0)
-        bad_w |= (w_sum <= 0.0) | (w_sum > k * (1.0 + tol))
-
+    big = float(np.finfo(state.dtype).max)
     sd_low = min(float(params.sd_floor), float(params.initial_sd)) * (1.0 - 1e-6)
-    bad_sd = ((sd_f < sd_low) | (sd_f > policy.sd_cap)).any(axis=0)
+    sd_cap = min(float(policy.sd_cap), big)
+    mean_cap = min(float(policy.mean_cap), big)
+    # DMSG stores mode ages in the weight plane: non-negative, capped at
+    # DMSG_AGE_CAP, and the background mode keeps age >= 1 so the
+    # per-pixel sum stays positive.
+    w_cap = DMSG_AGE_CAP + tol if model == "dmsg" else 1.0 + tol
 
-    bad_m = (np.abs(m_f) > policy.mean_cap).any(axis=0)
-
-    corrupt = np.flatnonzero(bad_finite | bad_w | bad_sd | bad_m)
+    # inf + -inf in the weight sum is invalid, and huge finite weights
+    # can overflow it; both land on pixels the range tests flag anyway.
+    with np.errstate(invalid="ignore", over="ignore"):
+        w_sum = w.sum(axis=0)
+    ok = w_sum > 0.0
+    if model != "dmsg":
+        ok &= w_sum <= state.num_gaussians * (1.0 + tol)
+    ok &= w.min(axis=0) >= -tol
+    ok &= w.max(axis=0) <= w_cap
+    ok &= sd.min(axis=0) >= sd_low
+    ok &= sd.max(axis=0) <= sd_cap
+    ok &= m.min(axis=0) >= -mean_cap
+    ok &= m.max(axis=0) <= mean_cap
+    if ok.all():
+        corrupt = np.empty(0, dtype=np.int64)
+        counts = (0, 0, 0, 0)
+    else:
+        corrupt = np.flatnonzero(~ok)
+        counts = _violation_counts(
+            w[:, corrupt], m[:, corrupt], sd[:, corrupt],
+            tol, w_cap, sd_low, policy, model,
+        )
+    nonfinite, weight, sd_count, mean = counts
     return IntegrityReport(
         frame_index=int(frame_index),
         num_pixels=state.num_pixels,
         corrupt=corrupt,
-        nonfinite=int(bad_finite.sum()),
-        weight=int(bad_w.sum()),
-        sd=int(bad_sd.sum()),
-        mean=int(bad_m.sum()),
+        nonfinite=nonfinite,
+        weight=weight,
+        sd=sd_count,
+        mean=mean,
     )
+
+
+def _violation_counts(w, m, sd, tol, w_cap, sd_low, policy, model):
+    """Per-invariant counts ``(nonfinite, weight, sd, mean)`` over the
+    given pixel columns.
+
+    Bounds are evaluated on a finite-masked view: a pixel with a NaN
+    weight is already counted as non-finite and must not *mask* a bound
+    violation in its other, finite components.
+    """
+    bad_finite = ~(np.isfinite(w) & np.isfinite(m) & np.isfinite(sd)).all(axis=0)
+    w_f = np.where(np.isfinite(w), w, 0.0)
+    sd_f = np.where(np.isfinite(sd), sd, 1.0)
+    m_f = np.where(np.isfinite(m), m, 0.0)
+    # Overflow: a weight sum past the dtype's range, or a cap past it
+    # cast to a float32 state's dtype; both compare as inf.
+    with np.errstate(over="ignore"):
+        w_sum = w_f.sum(axis=0)
+        bad_w = ((w_f < -tol) | (w_f > w_cap)).any(axis=0) | (w_sum <= 0.0)
+        if model != "dmsg":
+            bad_w |= w_sum > w.shape[0] * (1.0 + tol)
+        bad_sd = ((sd_f < sd_low) | (sd_f > policy.sd_cap)).any(axis=0)
+        bad_m = (np.abs(m_f) > policy.mean_cap).any(axis=0)
+    return tuple(int(b.sum()) for b in (bad_finite, bad_w, bad_sd, bad_m))
 
 
 def repair_pixels(

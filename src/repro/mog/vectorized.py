@@ -171,7 +171,7 @@ class MoGVectorized:
             raise ConfigError("no frame processed yet")
         return self.state.background_image(self.shape)
 
-    # -- checkpoint / restore (the parallel path's fault tolerance) ----
+    # -- checkpoint / restore (the serving path's fault tolerance) -----
     def state_snapshot(self):
         """Picklable snapshot ``(w, m, sd, frames_processed)`` or
         ``None`` before the first frame.

@@ -4,8 +4,8 @@
 :class:`~repro.core.stream.SurveillancePipeline` instances over a
 bounded worker pool — per-stream bounded queues with explicit
 backpressure, admission control, round-robin scheduling and per-stream
-fault isolation. :class:`ShardedStreamServer` scales that engine past
-the GIL: N shard processes (each one thread-pool ``StreamServer``)
+fault isolation. :class:`ShardedStreamServer` splits that engine
+across N shard processes (each one thread-pool ``StreamServer``)
 behind a shared-memory ingest gateway with consistent-hash placement,
 checkpoint-based rebalancing and load shedding.
 :class:`ServerController` closes the loop between telemetry and

@@ -41,15 +41,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..config import ControllerConfig
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigError
 
 #: Committed quality-matrix file name (see ``tools/quality_matrix.py``).
 QUALITY_MATRIX_NAME = "QUALITY_MATRIX.json"
+
+#: Environment override for the directory holding the quality matrix.
+BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
 #: Transition reasons emitted in the log.
 REASON_OVERLOAD = "overload"
@@ -155,21 +159,54 @@ def decide(
 
 
 # -- quality-matrix gating ---------------------------------------------
+def resolve_bench_dir() -> Path:
+    """Directory the committed :data:`QUALITY_MATRIX_NAME` is read from.
+
+    Resolution order:
+
+    1. the :data:`BENCH_DIR_ENV` (``REPRO_BENCH_DIR``) environment
+       variable, created if absent — CI and installed-package runs
+       point this wherever they like;
+    2. the first ancestor of the current working directory (itself
+       included) that looks like a repo checkout (has ``pyproject.toml``
+       and ``src/repro``).
+
+    Resolving from ``__file__`` is wrong once the package is installed:
+    that lands inside ``site-packages``. With no override and no
+    checkout in sight this raises a clear
+    :class:`~repro.errors.ConfigError` instead.
+    """
+    override = os.environ.get(BENCH_DIR_ENV)
+    if override:
+        path = Path(override).expanduser().resolve()
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+    cwd = Path.cwd().resolve()
+    for candidate in (cwd, *cwd.parents):
+        if (candidate / "pyproject.toml").is_file() and (
+            candidate / "src" / "repro"
+        ).is_dir():
+            return candidate
+    raise ConfigError(
+        f"cannot locate a repo checkout above {cwd} to hold "
+        f"{QUALITY_MATRIX_NAME}; set {BENCH_DIR_ENV} to choose a "
+        "directory explicitly"
+    )
+
+
 def load_quality_matrix(path: str | None = None) -> dict | None:
     """Load the committed model x level x scenario quality matrix.
 
-    ``path=None`` auto-locates :data:`QUALITY_MATRIX_NAME` in the bench
-    snapshot directory (repo checkout or ``REPRO_BENCH_DIR``). Any
-    failure — no checkout, missing file, bad JSON — returns ``None``,
-    which downstream conservatively reads as "no model switches".
+    ``path=None`` auto-locates :data:`QUALITY_MATRIX_NAME` via
+    :func:`resolve_bench_dir` (``REPRO_BENCH_DIR``, else the repo
+    checkout). Any failure — no checkout, missing file, bad JSON —
+    returns ``None``, which downstream conservatively reads as "no
+    model switches".
     """
     try:
-        if path is not None:
-            file = Path(path)
-        else:
-            from ..bench.snapshot import resolve_snapshot_dir
-
-            file = resolve_snapshot_dir() / QUALITY_MATRIX_NAME
+        file = Path(path) if path is not None else (
+            resolve_bench_dir() / QUALITY_MATRIX_NAME
+        )
         matrix = json.loads(file.read_text())
     except Exception:
         return None

@@ -929,8 +929,8 @@ class StreamServer:
             return list(self._streams)
 
     def stream_status(self) -> list[dict]:
-        """Per-stream supervision view (mirrors
-        ``ParallelMoG.stripe_status``)."""
+        """Per-stream supervision view: model, level, queue and frame
+        counts, restarts, failure and controller rung of every stream."""
         with self._lock:
             return [
                 {

@@ -1,7 +1,7 @@
 """Sharded multi-process serving: N shard processes behind a gateway.
 
-:class:`ShardedStreamServer` scales :class:`~repro.serve.StreamServer`
-past the GIL: the parent process is a thin *ingest gateway* and each of
+:class:`ShardedStreamServer` splits :class:`~repro.serve.StreamServer`
+across processes: the parent process is a thin *ingest gateway* and each of
 ``serve.shards`` child processes hosts one thread-pool ``StreamServer``
 as its intra-shard engine — so every per-stream guarantee (strict
 submission order, fault isolation, durable checkpoints) is inherited,
@@ -11,7 +11,7 @@ and masks stay bit-identical to a serial
 Data plane
 ----------
 Frames travel gateway -> shard over a per-shard shared-memory ring
-(:class:`~repro.parallel.frames.FrameRing`): one memcpy into the ring,
+(:class:`~repro.serve.ring.FrameRing`): one memcpy into the ring,
 one out, no pickling, and polling-only synchronisation so a SIGKILLed
 peer can never wedge a lock. Results (masks bit-packed 8:1), checkpoint
 notices and failure notices return over a pipe, consumed by one
@@ -37,8 +37,7 @@ same reservation scheme as the thread server). ``serve.shed_inflight``
 caps each stream's in-flight frames at the gateway; over the cap,
 ``serve.shed_policy`` either rejects the submit or drops the frame
 (``server.frames_shed``). Submission latency (submit -> result emitted)
-is recorded in the ``server.latency_s`` histogram — the p50/p99 the
-bench snapshot reports.
+is recorded in the ``server.latency_s`` histogram.
 
 Telemetry: :meth:`ShardedStreamServer.snapshot` merges every shard's
 snapshot re-keyed as ``server.shard.<k>.*`` (streams keep their
@@ -75,7 +74,7 @@ from ..errors import (
     ConfigError,
     WorkerError,
 )
-from ..parallel.frames import FrameRing
+from .ring import FrameRing
 from ..telemetry import MetricsRegistry
 
 _RPC_ERRORS = {

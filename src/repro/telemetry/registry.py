@@ -1,9 +1,9 @@
 """Lightweight in-process metrics: counters, gauges, latency histograms.
 
-The serving path (``SurveillancePipeline``, ``ParallelMoG``) is a
-long-running service in the ROADMAP's target deployment; this module
-gives it the minimal observability vocabulary such services need —
-monotonically increasing counters (frames, restarts, fallbacks),
+The serving path (``SurveillancePipeline``, ``StreamServer``,
+``ShardedStreamServer``) is a long-running service; this module gives
+it the minimal observability vocabulary such services need —
+monotonically increasing counters (frames, restarts, shed frames),
 point-in-time gauges, and bucketed latency histograms per stage —
 without any external dependency.
 
@@ -251,7 +251,7 @@ class MetricsRegistry:
 
     Names are free-form; the convention used by the library is
     ``subsystem.metric`` (``stream.frames_total``,
-    ``parallel.worker_restarts``). Asking twice for the same name
+    ``server.stream_restarts``). Asking twice for the same name
     returns the same instrument; asking for a name already registered
     as a different kind raises :class:`~repro.errors.ConfigError`.
     """

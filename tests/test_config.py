@@ -1,4 +1,5 @@
-"""Validation behaviour of MoGParams / RunConfig / dtype resolution."""
+"""Validation behaviour of MoGParams / RunConfig / FaultPolicy / dtype
+resolution."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from repro.config import (
     FULL_HD,
     PAPER_NUM_FRAMES,
+    FaultPolicy,
     MoGParams,
     RunConfig,
     resolve_dtype,
@@ -122,3 +124,15 @@ class TestRunConfig:
     def test_replace(self):
         rc = RunConfig().replace(dtype="float")
         assert rc.dtype == "float"
+
+
+class TestFaultPolicy:
+    def test_policy_validated(self):
+        with pytest.raises(ConfigError):
+            FaultPolicy(policy="retry")
+        with pytest.raises(ConfigError):
+            FaultPolicy(policy="serial_fallback")
+        with pytest.raises(ConfigError):
+            FaultPolicy(max_restarts=-1)
+        with pytest.raises(ConfigError):
+            FaultPolicy(stage_error="ignore")

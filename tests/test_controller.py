@@ -425,6 +425,36 @@ class TestControlledServer:
         kinds = [e["to"]["kind"] for e in log if e["action"] == "downshift"]
         assert kinds[-1] == "model"
 
+    def test_model_rung_checkpoint_resumes_on_baseline(self, tmp_path):
+        """A checkpoint written while the controller held the stream on
+        the dmsg model rung resumes on a fresh server: the stream is
+        admitted on the mog baseline at the checkpoint's cursor, the
+        model restarts fresh (counted), and frame indices continue."""
+        frames = scene_frames(seed=11, num_frames=56)
+        serve = self.controlled_serve(
+            window_frames=4, recover_after=99, allow_shed=False,
+        ).replace(checkpoint_every=1, checkpoint_dir=str(tmp_path))
+        _, status, results, _ = plugged_run(serve, frames[:48])
+        assert status["cam0"]["model"] == "dmsg"
+        assert (tmp_path / "cam0.ckpt").exists()
+
+        server = StreamServer(SHAPE, serve=serve.replace(resume=True))
+        try:
+            server.add_stream("cam0", scenario="static")
+            resumed = {s["stream"]: s for s in server.stream_status()}
+            for frame in frames[48:]:
+                server.submit("cam0", frame)
+            server.drain()
+            after = server.results("cam0")
+            counters = server.snapshot()["counters"]
+        finally:
+            server.close(drain=False)
+        assert resumed["cam0"]["model"] == "mog"
+        assert resumed["cam0"]["resumed_source_seq"] == 47
+        assert counters["server.resume_degraded_salvaged"] == 1
+        assert counters["stream.cam0.controller.model_fresh_starts"] == 1
+        assert [r.frame_index for r in results + after] == list(range(56))
+
     def test_untagged_stream_never_switches_model(self):
         frames = scene_frames(seed=13, num_frames=48)
         serve = self.controlled_serve(

@@ -1,14 +1,10 @@
-"""CPU baselines (analytic + timed) and the process-parallel path."""
+"""CPU baselines: the analytic time model and the timed reference run."""
 
-import numpy as np
 import pytest
 
 from repro.config import FULL_HD, PAPER_NUM_FRAMES
 from repro.cpu import CpuTimeModel, PAPER_BASELINES, run_cpu_reference
 from repro.errors import ConfigError
-from repro.mog import MoGVectorized
-from repro.parallel import ParallelMoG
-from repro.video.scenes import evaluation_scene
 
 
 class TestCpuTimeModel:
@@ -65,41 +61,3 @@ class TestRunCpuReference:
         with pytest.raises(ConfigError):
             run_cpu_reference([])
 
-
-class TestParallelMoG:
-    def test_matches_serial(self, params):
-        video = evaluation_scene(height=32, width=40)
-        frames = [video.frame(t) for t in range(5)]
-        serial = MoGVectorized((32, 40), params, variant="nosort")
-        expected = serial.apply_sequence(frames)
-        with ParallelMoG((32, 40), params, workers=2) as par:
-            got = par.apply_sequence(frames)
-        assert np.array_equal(expected, got)
-
-    def test_single_worker_matches(self, params):
-        video = evaluation_scene(height=16, width=24)
-        frames = [video.frame(t) for t in range(3)]
-        serial = MoGVectorized((16, 24), params, variant="nosort")
-        expected = serial.apply_sequence(frames)
-        with ParallelMoG((16, 24), params, workers=1) as par:
-            assert np.array_equal(expected, par.apply_sequence(frames))
-
-    def test_validation(self, params):
-        with pytest.raises(ConfigError):
-            ParallelMoG((16, 16), params, workers=0)
-        with pytest.raises(ConfigError):
-            ParallelMoG((2, 16), params, workers=4)
-        with pytest.raises(ConfigError):
-            ParallelMoG((16, 16), params, variant="bogus")
-
-    def test_frame_shape_checked(self, params):
-        with ParallelMoG((16, 16), params, workers=2) as par:
-            with pytest.raises(ConfigError):
-                par.apply(np.zeros((8, 8), dtype=np.uint8))
-
-    def test_closed_rejected(self, params):
-        par = ParallelMoG((16, 16), params, workers=2)
-        par.close()
-        with pytest.raises(ConfigError):
-            par.apply(np.zeros((16, 16), dtype=np.uint8))
-        par.close()  # idempotent

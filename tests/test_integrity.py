@@ -3,11 +3,14 @@ repair, and the policy wiring through the model and stream layers."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.config import FaultPlan, IntegrityPolicy, MoGParams
+from repro.config import DMSG_AGE_CAP, FaultPlan, IntegrityPolicy, MoGParams
 from repro.core.stream import SurveillancePipeline
+from repro.dmsg import DmsgVectorized
 from repro.errors import ConfigError, IntegrityError
 from repro.faults import (
     FaultInjector,
@@ -86,6 +89,119 @@ class TestFindCorruptPixels:
         state.sd[0, 4] = 1e12
         report = find_corrupt_pixels(state, params, POLICY)
         assert {1, 4} <= set(report.corrupt.tolist())
+
+
+def oracle_find_corrupt(state, params, policy, model="mog"):
+    """The guard's original formulation, kept as the oracle for the
+    one-pass check: bounds evaluated on finite-masked copies, returning
+    ``(corrupt, nonfinite, weight, sd, mean)``."""
+    w, m, sd = state.w, state.m, state.sd
+    tol = policy.weight_tol
+    k = state.num_gaussians
+    finite = np.isfinite(w) & np.isfinite(m) & np.isfinite(sd)
+    bad_finite = ~finite.all(axis=0)
+    w_f = np.where(np.isfinite(w), w, 0.0)
+    sd_f = np.where(np.isfinite(sd), sd, 1.0)
+    m_f = np.where(np.isfinite(m), m, 0.0)
+    sd_low = min(float(params.sd_floor), float(params.initial_sd)) * (1.0 - 1e-6)
+    with np.errstate(over="ignore"):
+        w_sum = w_f.sum(axis=0)
+        if model == "dmsg":
+            bad_w = ((w_f < -tol) | (w_f > DMSG_AGE_CAP + tol)).any(axis=0)
+            bad_w |= w_sum <= 0.0
+        else:
+            bad_w = ((w_f < -tol) | (w_f > 1.0 + tol)).any(axis=0)
+            bad_w |= (w_sum <= 0.0) | (w_sum > k * (1.0 + tol))
+        bad_sd = ((sd_f < sd_low) | (sd_f > policy.sd_cap)).any(axis=0)
+        bad_m = (np.abs(m_f) > policy.mean_cap).any(axis=0)
+    corrupt = np.flatnonzero(bad_finite | bad_w | bad_sd | bad_m)
+    return (corrupt, *(int(b.sum()) for b in (bad_finite, bad_w, bad_sd, bad_m)))
+
+
+ORACLE_POLICIES = (
+    IntegrityPolicy(),
+    IntegrityPolicy(sd_cap=np.inf, mean_cap=np.inf),
+    IntegrityPolicy(sd_cap=40.0, mean_cap=1e300, weight_tol=1e-3),
+)
+
+
+def poison_values(params, policy):
+    """Special values plus every bound and its nearest neighbours (a
+    whole-column poke of ``1 + tol`` lands on the weight-sum bound)."""
+    tol = policy.weight_tol
+    sd_low = min(params.sd_floor, params.initial_sd) * (1.0 - 1e-6)
+    edges = [
+        -tol, 1.0 + tol, DMSG_AGE_CAP + tol,
+        sd_low, policy.sd_cap, policy.mean_cap, -policy.mean_cap,
+    ]
+    out = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300, 3e38, -3e38]
+    for e in edges:
+        out += [e, np.nextafter(e, np.inf), np.nextafter(e, -np.inf)]
+    return out
+
+
+def converged_family_state(params, model, dtype):
+    video = evaluation_scene(height=SHAPE[0], width=SHAPE[1])
+    cls = DmsgVectorized if model == "dmsg" else MoGVectorized
+    sub = cls(SHAPE, params, dtype=dtype)
+    for t in range(6):
+        sub.apply(video.frame(t))
+    return sub.state
+
+
+def poisoned_states(params, policy, model, dtype, trials, seed):
+    """Yield ``trials`` copies of a converged state, each with a few
+    random elements (or whole pixel columns) set to poison values."""
+    rng = np.random.default_rng(seed)
+    base = converged_family_state(params, model, dtype)
+    values = poison_values(params, policy)
+    for _ in range(trials):
+        state = base.copy()
+        for _ in range(int(rng.integers(1, 7))):
+            plane = (state.w, state.m, state.sd)[rng.integers(3)]
+            pixel = int(rng.integers(state.num_pixels))
+            value = values[rng.integers(len(values))]
+            with np.errstate(over="ignore"):
+                cast = np.asarray(value).astype(state.dtype)
+            if rng.random() < 0.25:
+                plane[:, pixel] = cast
+            else:
+                plane[rng.integers(plane.shape[0]), pixel] = cast
+        yield state
+
+
+class TestOnePassGuardMatchesOracle:
+    @pytest.mark.parametrize("model", ["mog", "dmsg"])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=["default", "inf", "tight"])
+    def test_corrupt_set_and_counts_match(self, params, model, dtype, policy):
+        flagged = 0
+        for state in poisoned_states(params, policy, model, dtype, 150, seed=7):
+            report = find_corrupt_pixels(state, params, policy, model=model)
+            corrupt, *counts = oracle_find_corrupt(state, params, policy, model)
+            assert np.array_equal(report.corrupt, corrupt)
+            assert [report.nonfinite, report.weight, report.sd,
+                    report.mean] == counts
+            flagged += corrupt.size > 0
+        assert flagged > 100  # the poison actually lands
+
+    @pytest.mark.parametrize("model", ["mog", "dmsg"])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=["default", "inf", "tight"])
+    def test_no_runtime_warning_on_poisoned_state(
+        self, params, model, dtype, policy
+    ):
+        policy = policy.replace(mode="repair")
+        guard = IntegrityGuard(policy, params, model=model)
+        frame = evaluation_scene(height=SHAPE[0], width=SHAPE[1]).frame(6)
+        states = list(poisoned_states(params, policy, model, dtype, 40, seed=3))
+        # inf + -inf in one pixel's weights: the sum itself is invalid.
+        states[0].w[0, 5], states[0].w[1, 5] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, state in enumerate(states):
+                guard.check(state, frame.reshape(-1), t)
+                assert find_corrupt_pixels(state, params, policy, model=model).clean
 
 
 class TestRepairPixels:

@@ -154,6 +154,33 @@ class TestApi:
         assert mask.mean() < 0.05
 
 
+    def test_restore_state_copies_snapshot_arrays(self, params, frames):
+        """Regression: ``restore_state`` must deep-copy. A snapshot is
+        the *live* state of the source model (``state_snapshot`` hands
+        out references); a restore that aliased those arrays would
+        couple the two models' histories."""
+        source = MoGVectorized(SHAPE, params)
+        for f in frames[:3]:
+            source.apply(f)
+        snap = source.state_snapshot()
+        w0, m0, sd0 = (np.array(a, copy=True) for a in snap[:3])
+
+        restored = MoGVectorized(SHAPE, params)
+        restored.restore_state(snap)
+        assert restored.frames_processed == 3
+        for ours, theirs in zip(
+            (restored.state.w, restored.state.m, restored.state.sd), snap
+        ):
+            assert ours is not theirs
+            assert not np.shares_memory(ours, theirs)
+        # Mutation after restore: the checkpoint must not move.
+        restored.state.w += 0.25
+        restored.state.sd *= 2.0
+        assert np.array_equal(snap[0], w0)
+        assert np.array_equal(snap[1], m0)
+        assert np.array_equal(snap[2], sd0)
+
+
 class TestFiveGaussians:
     def test_runs_and_matches_reference(self, params):
         p5 = params.replace(num_gaussians=5)

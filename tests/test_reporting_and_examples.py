@@ -68,7 +68,6 @@ class TestExamples:
             "surveillance_quality.py",
             "tiled_window_sweep.py",
             "precision_and_components.py",
-            "parallel_cpu.py",
             "color_subtraction.py",
             "parameter_study.py",
             "profiler_deep_dive.py",

@@ -1,16 +1,11 @@
 """Multi-stream StreamServer: scheduling, admission, backpressure,
 fault isolation, telemetry aggregation.
 
-The SIGKILL test reuses the supervised parallel path as a stream's
-subtractor, so a real worker process dies mid-run; everything else uses
-tiny frames or stub pipelines to stay deterministic and fast.
+Tiny frames or stub pipelines keep every test deterministic and fast.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import signal
 import threading
 import time
 
@@ -20,18 +15,11 @@ import pytest
 from repro.config import FaultPolicy, ServeConfig, TelemetryConfig
 from repro.core.stream import StreamResult, SurveillancePipeline
 from repro.errors import BackpressureError, ConfigError, WorkerError
-from repro.mog import MoGVectorized
-from repro.parallel import ParallelMoG
 from repro.serve import StreamServer, serve_sequences
 from repro.telemetry import MetricsRegistry
 from repro.video.scenes import evaluation_scene
 
 SHAPE = (24, 32)
-
-HAS_FORK = "fork" in mp.get_all_start_methods()
-needs_fork = pytest.mark.skipif(
-    not HAS_FORK, reason="worker-process tests prefer fork workers"
-)
 
 
 def scene_frames(seed: int, num_frames: int = 10, shape=SHAPE):
@@ -341,74 +329,6 @@ class TestFaultIsolation:
             snap = server.snapshot()
             assert snap["counters"]["server.stream_restarts"] == 1
             assert snap["counters"]["stream.s.restarts"] == 1
-
-    @needs_fork
-    def test_sigkill_worker_leaves_siblings_serial_identical(self, params):
-        """One stream runs on the supervised parallel path; its worker
-        process is SIGKILLed mid-run. The stream restarts the worker
-        (checkpoint restore keeps its masks serial-identical) and the
-        sibling streams never notice."""
-        num_frames = 8
-        sequences = {
-            "victim": scene_frames(seed=1, num_frames=num_frames),
-            "calm0": scene_frames(seed=2, num_frames=num_frames),
-            "calm1": scene_frames(seed=3, num_frames=num_frames),
-        }
-        par_policy = FaultPolicy(policy="restart", timeout_s=10.0)
-        par = ParallelMoG(SHAPE, params, workers=2, fault_policy=par_policy)
-
-        class ParallelSubtractor:
-            shape = SHAPE
-
-            def apply(self, frame):
-                return par.apply(frame)
-
-        victim_pipe = SurveillancePipeline(SHAPE, params, warmup_frames=2)
-        victim_pipe.subtractor = ParallelSubtractor()
-
-        try:
-            with StreamServer(
-                SHAPE, params=params,
-                serve=ServeConfig(workers=2, queue_capacity=num_frames),
-                warmup_frames=2,
-            ) as server:
-                server.add_stream("victim", pipeline=victim_pipe)
-                server.add_stream("calm0")
-                server.add_stream("calm1")
-                for t in range(3):
-                    for sid in sequences:
-                        server.submit(sid, sequences[sid][t])
-                server.drain()
-                pid = par.worker_pids()[0]
-                os.kill(pid, signal.SIGKILL)
-                wait_until(lambda: not par._workers[0]._proc.is_alive())
-                for t in range(3, num_frames):
-                    for sid in sequences:
-                        server.submit(sid, sequences[sid][t])
-                server.drain()
-                results = {sid: server.results(sid) for sid in sequences}
-                assert par.telemetry.snapshot()["counters"][
-                    "parallel.worker_restarts"
-                ] == 1
-        finally:
-            par.close()
-
-        # The victim's masks match a serial in-process run of the same
-        # model (checkpoint restore across the SIGKILL).
-        serial = MoGVectorized(SHAPE, params, variant="nosort")
-        for t, result in enumerate(results["victim"]):
-            assert not result.degraded
-            assert np.array_equal(result.raw_mask, serial.apply(
-                sequences["victim"][t]
-            ))
-        # Siblings are untouched: identical to their own serial runs.
-        for sid in ("calm0", "calm1"):
-            want = SurveillancePipeline(
-                SHAPE, params, warmup_frames=2
-            ).run(sequences[sid])
-            assert len(results[sid]) == num_frames
-            for got, exp in zip(results[sid], want):
-                assert np.array_equal(got.mask, exp.mask)
 
 
 class TestTelemetry:
