@@ -1,7 +1,8 @@
 """The CPU engine: one in-place model per family.
 
-Each frame runs as one compiled C loop over all pixels
-(:mod:`repro.cpu.native`). Without a C compiler the engine runs the
+Each frame runs as a compiled C loop over the pixels
+(:mod:`repro.cpu.native`), split across the idle cores when the frame
+is large. Without a C compiler the engine runs the
 NumPy block loop below instead; that loop is also the compiled path's
 test oracle, and both give the same bits.
 
@@ -130,11 +131,14 @@ class _BlockEngine:
         self._kernel, self.compile_s = native.load_kernel(
             self.family, self.num_components, self.dtype
         )
+        self._frames_split = self._split_threads = None
         if telemetry is not None:
             if self._kernel is None:
                 telemetry.counter("jit.fallbacks").inc()
             g = telemetry.gauge("jit.compile_s")
             g.set(g.value + self.compile_s)
+            self._frames_split = telemetry.counter("jit.frames_split")
+            self._split_threads = telemetry.gauge("jit.split_threads")
 
     @property
     def compiled(self) -> bool:
@@ -163,7 +167,10 @@ class _BlockEngine:
             self._guard.check(self.state, src, self.frames_processed)
         mask = np.empty(self.num_pixels, dtype=bool)
         if self._kernel is not None:
-            self._kernel(src, self.state, mask, self._consts)
+            ranges = self._kernel(src, self.state, mask, self._consts)
+            if ranges > 1 and self._frames_split is not None:
+                self._frames_split.inc()
+                self._split_threads.set(ranges)
         else:
             self._apply_blocks(src, self.state, mask)
         self.frames_processed += 1

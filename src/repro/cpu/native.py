@@ -1,11 +1,11 @@
 """Compiled per-pixel kernels for the cpu backend.
 
-The engines in :mod:`repro.cpu.engine` run each frame as one C loop
-over all pixels. The C is not written by hand: it is rendered from the
+The engines in :mod:`repro.cpu.engine` run each frame as a C loop over
+the pixels. The C is not written by hand: it is rendered from the
 same :mod:`repro.cudagen` fragments as the CUDA sources, with a host
-``for (pix …)`` loop in place of the thread index, so the CUDA text is
-executed — and checked bit for bit against the NumPy engines — on a
-machine without a GPU.
+``for (pix = lo; pix < hi; …)`` loop in place of the thread index, so
+the CUDA text is executed — and checked bit for bit against the NumPy
+engines — on a machine without a GPU.
 
 * MoG runs the level-D body at every engine level D–G: the branchy
   update, the virtual component with its diff reset, and the flat scan
@@ -17,7 +17,13 @@ machine without a GPU.
 
 One translation unit covers one ``(family, K, dtype)``. It exports one
 entry point for ``uint8`` frames and one for run-dtype frames; any
-other frame dtype is cast with NumPy first.
+other frame dtype is cast with NumPy first. Both take a pixel range
+``[lo, hi)``. A frame of at least :data:`SPLIT_MIN_PIXELS` pixels,
+called while no other kernel call is in flight in the process, runs as
+contiguous ranges shared by the calling thread and a small
+process-wide pool of helper threads, one per further core; every pixel
+still runs the same C body exactly once, so masks and state are the
+same bits as one call over ``[0, n)``.
 
 Exactness: the build uses ``-O3 -ffp-contract=off -std=c99`` and no
 ``-ffast-math`` or ``-march=native``; the constants arrive as an array
@@ -37,6 +43,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import queue
 import shutil
 import stat
 import subprocess
@@ -62,12 +69,14 @@ from ..errors import ConfigError
 __all__ = [
     "CFLAGS",
     "NativeKernel",
+    "SPLIT_MIN_PIXELS",
     "compiler_status",
     "constants",
     "jit_cache_dir",
     "kernel_fingerprint",
     "load_kernel",
     "render_source",
+    "split_bounds",
 ]
 
 #: Environment override for the compiled-kernel cache directory.
@@ -140,10 +149,10 @@ def render_source(family: str, k: int, dtype) -> str:
         f"""
 void repro_update_{suffix}(const {frame_t} *frame, scalar_t *w,
                            scalar_t *m, scalar_t *sd, unsigned char *fg,
-                           long n, const scalar_t *cst)
+                           long n, const scalar_t *cst, long lo, long hi)
 {{
     scalar_t *const g[3] = {{w, m, sd}};
-    for (long pix = 0; pix < n; ++pix)
+    for (long pix = lo; pix < hi; ++pix)
         fg[pix] = update_pixel((scalar_t)frame[pix], g, n, pix, cst);
 }}
 """
@@ -191,7 +200,7 @@ def kernel_fingerprint(
 ) -> str:
     """Content hash of everything a compiled unit depends on."""
     payload = "|".join(
-        ("v1", family, str(k), np.dtype(dtype).name, source,
+        ("v2", family, str(k), np.dtype(dtype).name, source,
          " ".join(CFLAGS), compiler)
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -231,14 +240,39 @@ class NativeKernel:
         self._run = lib.repro_update_run
         for fn in (self._u8, self._run):
             fn.argtypes = [ctypes.c_void_p] * 5 + [
-                ctypes.c_long, ctypes.c_void_p,
+                ctypes.c_long, ctypes.c_void_p, ctypes.c_long, ctypes.c_long,
             ]
             fn.restype = None
 
     def __call__(self, x: np.ndarray, state, fg: np.ndarray,
-                 consts: np.ndarray) -> None:
+                 consts: np.ndarray) -> int:
         """Update ``state`` in place with the flat frame ``x`` and
-        write the foreground flags into the flat bool array ``fg``."""
+        write the foreground flags into the flat bool array ``fg``.
+
+        Returns the number of threads the update ran on: 1 for the
+        calling thread alone, more when the frame was split into
+        ranges (:func:`split_bounds`) shared with the helper threads."""
+        fn, args, x = self._bind(x, state, fg, consts)
+        split = _split
+        bounds = split.claim(fg.size)
+        try:
+            _run_ranges(fn, args, bounds)
+        finally:
+            split.release()
+        return 1 if len(bounds) == 1 else split.helpers + 1
+
+    def _call_ranges(self, x, state, fg, consts, bounds) -> None:
+        """One update as the given ``(lo, hi)`` ranges, whatever the
+        split rules say: the property tests force range counts through
+        this."""
+        fn, args, x = self._bind(x, state, fg, consts)
+        _run_ranges(fn, args, bounds)
+
+    def _bind(self, x, state, fg, consts):
+        """Check the buffers once per frame, before any range runs.
+        Returns the entry point, its arguments up to ``lo, hi``, and
+        the contiguous frame, which the caller holds until the call
+        returns (the arguments are raw addresses)."""
         n = fg.size
         if x.dtype == np.uint8:
             fn = self._u8
@@ -251,8 +285,8 @@ class NativeKernel:
         if consts.dtype != self.dtype or consts.size != len(CONSTANTS):
             raise ConfigError("kernel constants have the wrong layout")
         w, m, sd = (self._plane(state, name, n) for name in ("w", "m", "sd"))
-        fn(x.ctypes.data, w.ctypes.data, m.ctypes.data, sd.ctypes.data,
-           fg.ctypes.data, n, consts.ctypes.data)
+        return fn, (x.ctypes.data, w.ctypes.data, m.ctypes.data,
+                    sd.ctypes.data, fg.ctypes.data, n, consts.ctypes.data), x
 
     def _plane(self, state, name: str, n: int) -> np.ndarray:
         """A state plane the C loop may write through: the run dtype,
@@ -270,6 +304,129 @@ class NativeKernel:
             a = np.array(a, dtype=self.dtype, order="C")
             setattr(state, name, a)
         return a
+
+
+# -- splitting one frame across cores ------------------------------------
+#: Frames with fewer pixels run whole on the calling thread. A split
+#: wins from far smaller frames on an idle host (docs/jit.md, Threads);
+#: the floor keeps the 120x160 served workloads, whose server workers
+#: already fill the cores, on one thread per frame.
+SPLIT_MIN_PIXELS = 2**17
+
+#: Pixels per range of a split frame; the last range is shorter. The
+#: threads take ranges from one queue as they finish, so a helper that
+#: another process holds off its core delays the frame by at most one
+#: range. A multiple of 64, so no two threads write one cache line of
+#: the mask.
+SPLIT_RANGE_PIXELS = 2**16
+
+
+def split_bounds(n: int) -> list[tuple[int, int]]:
+    """``n`` pixels as contiguous ``(lo, hi)`` ranges of
+    :data:`SPLIT_RANGE_PIXELS`."""
+    return [
+        (lo, min(lo + SPLIT_RANGE_PIXELS, n))
+        for lo in range(0, n, SPLIT_RANGE_PIXELS)
+    ]
+
+
+class _Split:
+    """Process-wide split state: the in-flight kernel-call count, its
+    lock, and the helper threads (created on the first frame that
+    splits). A forked child starts over from a fresh instance."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.helpers = _helper_count()
+        self.tasks: queue.SimpleQueue | None = None
+
+    def claim(self, n: int) -> list[tuple[int, int]]:
+        """Count one kernel call as in flight and choose its ranges:
+        :func:`split_bounds` when the frame has at least
+        :data:`SPLIT_MIN_PIXELS` pixels, the process has helpers and no
+        other kernel call is in flight in it, else the whole frame."""
+        with self.lock:
+            self.in_flight += 1
+            alone = self.in_flight == 1
+        if alone and self.helpers and n >= SPLIT_MIN_PIXELS:
+            return split_bounds(n)
+        return [(0, n)]
+
+    def release(self) -> None:
+        with self.lock:
+            self.in_flight -= 1
+
+    def start(self) -> queue.SimpleQueue:
+        """The helpers' task queue, starting the helpers on first use."""
+        if self.tasks is None:
+            self.tasks = queue.SimpleQueue()
+            for i in range(self.helpers):
+                threading.Thread(
+                    target=_helper, args=(self.tasks,), daemon=True,
+                    name=f"repro-split-{i}",
+                ).start()
+        return self.tasks
+
+
+def _helper_count() -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(cpus - 1, 0)
+
+
+def _helper(tasks: queue.SimpleQueue) -> None:
+    while True:
+        _run_task(tasks.get())
+
+
+def _run_task(task) -> None:
+    fn, args, lo, hi, done = task
+    try:
+        fn(*args, lo, hi)
+    except BaseException as exc:  # handed to the dispatching thread
+        done.put(exc)
+    else:
+        done.put(None)
+
+
+_split = _Split()
+
+
+def _reset_after_fork() -> None:
+    # The child has none of the parent's helper threads, and the
+    # parent's lock or in-flight count may have been taken mid-call.
+    global _split
+    _split = _Split()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+def _run_ranges(fn, args, bounds) -> None:
+    """Run ``fn(*args, lo, hi)`` once per range: the first on this
+    thread, the rest queued for the helpers. This thread then takes
+    queued ranges too until none is left, so the work balances across
+    the threads and any range count finishes, even with no helpers."""
+    if len(bounds) == 1:
+        fn(*args, *bounds[0])
+        return
+    tasks = _split.start()
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    for lo, hi in bounds[1:]:
+        tasks.put((fn, args, lo, hi, done))
+    fn(*args, *bounds[0])
+    while True:
+        try:
+            _run_task(tasks.get_nowait())
+        except queue.Empty:
+            break
+    errors = [e for e in (done.get() for _ in bounds[1:]) if e is not None]
+    if errors:
+        raise errors[0]
 
 
 class _BuildError(Exception):

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.config import IntegrityPolicy, MoGParams
+from repro.config import IntegrityPolicy, MoGParams, resolve_dtype
 from repro.core.subtractor import BackgroundSubtractor
+from repro.cpu import native
 from repro.cpu.engine import (
     BLOCK_PIXELS,
     ENGINE_VARIANTS,
@@ -468,3 +470,311 @@ class TestCompiledOracle:
             assert np.array_equal(want, have)
         for oracle, engine in zip(oracles, engines):
             _assert_same_state_bits(oracle, engine)
+
+
+def _forced(engine, parts):
+    """Route ``engine``'s kernel calls through ``parts`` evenly cut
+    ``(lo, hi)`` ranges (unaligned, empty ones included), whatever the
+    split rules would choose."""
+    kernel = engine._kernel
+
+    def call(x, state, fg, consts):
+        n = fg.size
+        bounds = [(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
+        kernel._call_ranges(x, state, fg, consts, bounds)
+        return parts
+
+    engine._kernel = call
+    return engine
+
+
+def _split_trio(cls, shape, dtype, parts):
+    """The engine on ``parts`` forced ranges, on the one-thread call
+    ``[(0, n)]``, and on the NumPy block loop."""
+    split, oracle = _engine_pair(cls, shape, dtype=dtype)
+    one = cls(shape, PARAMS, dtype=dtype)
+    return _forced(split, parts), _forced(one, 1), oracle
+
+
+def _run_trio(trio, frames):
+    for f in frames:
+        split, one, oracle = (e.apply(f) for e in trio)
+        _assert_same_bits(split, one)
+        _assert_same_bits(split, oracle)
+    _assert_same_state_bits(trio[0], trio[1])
+    _assert_same_state_bits(trio[0], trio[2])
+
+
+#: Above the split threshold, so each frame splits on a multi-core host.
+SPLIT_SHAPE = (native.SPLIT_MIN_PIXELS // 256, 256)
+
+
+def _digest(masks, engine) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for a in (*masks, engine.state.w, engine.state.m, engine.state.sd):
+        h.update(np.ascontiguousarray(a).view(np.uint8))
+    return h.hexdigest()
+
+
+class TestSplitRanges:
+    """A frame cut into pixel ranges (:mod:`repro.cpu.native`, Threads
+    in docs/jit.md) gives the same bits as the one-thread call and as
+    the NumPy block loop."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (13, 77), (1, 200),
+                                       (200, 1)],
+                             ids=["1px", "35px", "1001px", "1xN", "Nx1"])
+    @pytest.mark.parametrize("frames", ["u8", "run"])
+    @pytest.mark.parametrize("cls", [MoGEngine, DmsgEngine])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_range_counts(self, parts, dtype, cls, frames, shape):
+        src = _step_frames(8, shape)
+        if frames == "run":
+            src = [f.astype(resolve_dtype(dtype)) + 0.375 for f in src]
+        _run_trio(_split_trio(cls, shape, dtype, parts), src)
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "0"],
+    )
+    @pytest.mark.parametrize("cls", [MoGEngine, DmsgEngine])
+    @pytest.mark.parametrize("dtype", ["double", "float"])
+    @pytest.mark.parametrize("parts", [2, 3, 4])
+    def test_poisoned_state(self, parts, dtype, cls, value):
+        shape = (13, 77)
+        trio = _split_trio(cls, shape, dtype, parts)
+        frames = _step_frames(8, shape)
+        for e in trio:
+            e.apply(frames[0])
+        n = trio[0].num_pixels
+        with np.errstate(over="ignore", invalid="ignore"):
+            for e in trio:
+                st = e.state
+                st.w[:, 0:n:5] = value
+                st.m[:, 1:n:5] = value
+                st.sd[:, 2:n:5] = value
+                st.w[1, 3:n:5] = value
+                st.m[:, 3:n:5] = 1e30
+                st.w[0, 4:n:5] = value
+            _run_trio(trio, frames[1:])
+
+    @pytest.mark.parametrize("cls", [MoGEngine, DmsgEngine])
+    def test_above_threshold_frames_split(self, cls):
+        """Unforced: a frame of ``SPLIT_MIN_PIXELS`` or more splits
+        when the host has a second core, and matches the NumPy loop."""
+        shape = (native.SPLIT_MIN_PIXELS // 256 + 1, 257)
+        tel = MetricsRegistry()
+        compiled = cls(shape, PARAMS, telemetry=tel)
+        if not compiled.compiled:
+            pytest.skip("no C compiler: the compiled path did not build")
+        frames = _step_frames(5, shape)
+        _run_pair((compiled, _numpy_twin(cls(shape, PARAMS))), frames)
+        helpers = native._split.helpers
+        snap = tel.snapshot()
+        assert snap["counters"]["jit.frames_split"] == (
+            len(frames) if helpers else 0
+        )
+        assert snap["gauges"]["jit.split_threads"] == (
+            helpers + 1 if helpers else 0
+        )
+
+    def test_split_bounds(self):
+        size = native.SPLIT_RANGE_PIXELS
+        assert size % 64 == 0  # one writer per cache line of the mask
+        for n in (1, 63, size, size + 1, 3 * size - 5):
+            bounds = native.split_bounds(n)
+            assert len(bounds) == -(-n // size)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+                assert hi == lo and lo % size == 0
+            assert all(lo < hi for lo, hi in bounds)
+
+    def test_concurrent_large_frames(self):
+        """More stepping threads than cores, each on frames above the
+        threshold, with a short switch interval: at most one call
+        splits at a time, every engine matches its serial run, and the
+        in-flight count returns to 0 (a lost update would not)."""
+        scenes = [_step_frames(4, SPLIT_SHAPE, seed=s) for s in (31, 32, 33)]
+        if not MoGEngine(SPLIT_SHAPE, PARAMS).compiled:
+            pytest.skip("no C compiler: the compiled path did not build")
+        serial = []
+        for frames in scenes:
+            engine = MoGEngine(SPLIT_SHAPE, PARAMS)
+            serial.append(_digest(_run(engine, frames), engine))
+        got = [None] * len(scenes)
+        barrier = threading.Barrier(len(scenes), timeout=30)
+
+        def work(i):
+            engine = MoGEngine(SPLIT_SHAPE, PARAMS)
+            barrier.wait()
+            got[i] = _digest(_run(engine, scenes[i]), engine)
+
+        threads = [
+            threading.Thread(target=work, args=(i,)) for i in range(len(scenes))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == serial
+        assert native._split.in_flight == 0
+
+    def test_split_rules(self):
+        """Only a large frame splits, and only while no other kernel
+        call is in flight."""
+        sp = native._split
+        if not sp.helpers:
+            pytest.skip("one CPU: nothing splits")
+        big = native.SPLIT_MIN_PIXELS
+        small = sp.claim(big - 1)
+        sp.release()
+        first = sp.claim(big)
+        second = sp.claim(big)  # while the first is in flight
+        sp.release()
+        sp.release()
+        assert small == [(0, big - 1)]
+        assert first == native.split_bounds(big) and len(first) > 1
+        assert second == [(0, big)]
+        assert sp.in_flight == 0
+
+
+def _child_run(conn, frames):
+    """Forked child: a fresh engine over ``frames``; sends the digest
+    of its masks and state and how many frames split."""
+    tel = MetricsRegistry()
+    engine = MoGEngine(SPLIT_SHAPE, PARAMS, telemetry=tel)
+    masks = _run(engine, frames)
+    conn.send(
+        (_digest(masks, engine), tel.snapshot()["counters"]["jit.frames_split"])
+    )
+    conn.close()
+
+
+def _fork_child(frames, start=None):
+    """Run :func:`_child_run` in a forked child under a hard timeout;
+    ``start`` (default ``Process.start``) launches it."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_child_run, args=(send, frames))
+    if start is None:
+        proc.start()
+    else:
+        start(proc)
+    send.close()
+    try:
+        assert recv.poll(60), "forked child did not finish: deadlocked?"
+        return recv.recv()
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+class TestForkSafety:
+    """The split pool is process-wide and the sharded tier forks its
+    shards: a forked child must split on helpers of its own, never wait
+    on threads that exist only in the parent."""
+
+    def test_child_after_pool_started(self):
+        frames = _step_frames(4, SPLIT_SHAPE)
+        parent = MoGEngine(SPLIT_SHAPE, PARAMS)
+        if not parent.compiled:
+            pytest.skip("no C compiler: the compiled path did not build")
+        want = _digest(_run(parent, frames), parent)
+        helpers = native._split.helpers
+        if helpers:
+            assert native._split.tasks is not None  # the pool is running
+        got, split = _fork_child(frames)
+        assert got == want
+        assert split == (len(frames) if helpers else 0)
+
+    def test_fork_while_a_call_is_in_flight(self):
+        """Fork with the in-flight lock held and a split call of
+        another thread mid-kernel: the child starts unlocked, with no
+        call in flight, and still splits."""
+        frames = _step_frames(4, SPLIT_SHAPE)
+        busy = MoGEngine((4 * SPLIT_SHAPE[0], 2 * SPLIT_SHAPE[1]), PARAMS,
+                         dtype="float")
+        if not busy.compiled:
+            pytest.skip("no C compiler: the compiled path did not build")
+        big = _step_frames(2, busy.shape)
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                busy.apply(big[busy.frames_processed % 2])
+
+        spinner = threading.Thread(target=spin, daemon=True)
+        spinner.start()
+
+        def start_mid_call(proc):
+            sp = native._split
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                with sp.lock:
+                    if sp.in_flight:
+                        proc.start()
+                        return
+                time.sleep(1e-4)
+            raise AssertionError("no kernel call was ever in flight")
+
+        try:
+            got, split = _fork_child(frames, start_mid_call)
+        finally:
+            stop.set()
+            spinner.join(60)
+        reference = MoGEngine(SPLIT_SHAPE, PARAMS)
+        assert got == _digest(_run(reference, frames), reference)
+        assert split == (len(frames) if native._split.helpers else 0)
+
+
+class TestSplitTelemetry:
+    """Counter ``jit.frames_split`` and gauge ``jit.split_threads``."""
+
+    def test_full_hd_pipeline_step_splits(self):
+        from repro.config import FULL_HD
+        from repro.core.stream import SurveillancePipeline
+
+        pipe = SurveillancePipeline(FULL_HD, level="F", backend="cpu")
+        if not pipe.subtractor.compiled:
+            pytest.skip("no C compiler: the compiled path did not build")
+        frames = _step_frames(2, FULL_HD)
+        for f in frames:
+            pipe.step(f)
+        snap = pipe.telemetry.snapshot()
+        helpers = native._split.helpers
+        assert snap["counters"]["jit.frames_split"] == (
+            len(frames) if helpers else 0
+        )
+        assert snap["gauges"]["jit.split_threads"] == (
+            helpers + 1 if helpers else 0
+        )
+
+    def test_served_120x160_streams_never_split(self):
+        from repro.config import ServeConfig
+        from repro.serve import StreamServer
+
+        shape = (120, 160)
+        with StreamServer(shape, serve=ServeConfig(workers=2)) as server:
+            for sid in ("a", "b"):
+                server.add_stream(sid)
+            for f in _frames(6, shape):
+                for sid in ("a", "b"):
+                    server.submit(sid, f)
+            server.drain()
+            snap = server.snapshot()
+        for sid in ("a", "b"):
+            assert snap["counters"][f"stream.{sid}.jit.frames_split"] == 0
+            assert snap["gauges"][f"stream.{sid}.jit.split_threads"] == 0

@@ -78,7 +78,7 @@ class TestEmitter:
         src = native.render_source("mog", 3, "float64")
         assert "typedef double scalar_t;" in src
         assert "#define NUM_GAUSSIANS 3" in src
-        assert "for (long pix = 0; pix < n; ++pix)" in src
+        assert "for (long pix = lo; pix < hi; ++pix)" in src
         assert "repro_update_u8(const unsigned char *frame" in src
         assert "repro_update_run(const scalar_t *frame" in src
         assert "g[HOST_IDX(k, P_W, pix)]" in src  # the CUDA fragment
